@@ -115,26 +115,6 @@ fn main() {
             row.conflicts,
         );
     }
-    println!("  expansion stealing (gate opened, width 4):");
-    for row in &dist.expansion_rows {
-        println!(
-            "  {} fleet, {} workers: {:.3}s | {:.2}x vs local | {} expansion jobs stolen, {} stragglers requeued, {} duplicates discarded, {} conflicts",
-            row.transport,
-            row.workers,
-            row.total_secs,
-            row.speedup_vs_local,
-            row.steals,
-            row.stragglers_requeued,
-            row.duplicates_discarded,
-            row.conflicts,
-        );
-    }
-    for lat in &dist.expansion_latency {
-        println!(
-            "  {}: {} samples | mean {:.0}us | min {:.0}us | max {:.0}us",
-            lat.series, lat.count, lat.mean_micros, lat.min_micros, lat.max_micros,
-        );
-    }
     println!("  deterministic = {}", dist.deterministic);
     if args.get_str("bench-json").is_some() || args.get_str("dist-json").is_some() {
         let path = args.get_str("dist-json").unwrap_or("BENCH_dist.json");
@@ -220,47 +200,6 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // Frontier-scaling benchmark: the same instance solved at increasing
-    // speculative widths. Reconciliation keeps the search byte-identical,
-    // so only wall time and speculation counters may differ.
-    let widths = [1usize, 2, 4, 8];
-    let frontier = bench_frontier(bench_rows, seed, bench_runs, bench_threads, &widths);
-    println!(
-        "\nspeculative frontier ({} rows, {} runs, {} threads):",
-        frontier.rows, frontier.runs, frontier.threads
-    );
-    for (i, &w) in frontier.widths.iter().enumerate() {
-        println!(
-            "  width {w}: {:.3}s total | {:.2}x vs width 1 | {} speculative expansions, {} discarded",
-            frontier.total_secs[i],
-            frontier.speedup_vs_width1[i],
-            frontier.speculative_expansions[i],
-            frontier.speculation_discarded[i],
-        );
-    }
-    println!(
-        "  fan-out gate: min {} records (gated_serial = {})",
-        frontier.speculation_min_records, frontier.gated_serial
-    );
-    for (i, &w) in frontier.stolen_widths.iter().enumerate() {
-        println!(
-            "  stolen width {w} ({} fleet workers): {:.3}s",
-            frontier.stolen_workers, frontier.stolen_total_secs[i],
-        );
-    }
-    println!(
-        "  {} expansion jobs stolen | polled {} / expansions {} at every width | deterministic = {}",
-        frontier.stolen_jobs, frontier.polled, frontier.expansions, frontier.deterministic
-    );
-    if args.get_str("bench-json").is_some() || args.get_str("frontier-json").is_some() {
-        let path = args
-            .get_str("frontier-json")
-            .unwrap_or("BENCH_frontier.json");
-        let json = serde_json::to_string_pretty(&frontier).expect("serializable");
-        std::fs::write(path, json).expect("write frontier bench json");
-        println!("wrote {path}");
-    }
-
     // Incremental re-profiling benchmark: a snapshot-pair corpus profiled
     // through `delta::profile_dirs_delta` at increasing dirty fractions.
     // The spliced profile must stay byte-identical (timing stripped) to
@@ -323,83 +262,6 @@ struct DistRow {
     conflicts: usize,
 }
 
-/// One measured expansion-stealing configuration: the profile runs
-/// in-process, but the speculation driver's K-way frontier batches are
-/// published to an [`affidavit_dist::ExpansionFleet`] on this transport.
-#[derive(serde::Serialize)]
-struct ExpansionRow {
-    /// Fleet transport: `"fs"` / `"tcp"` (real `affidavit-worker`
-    /// children) or `"in-process"` (worker threads).
-    transport: String,
-    /// Resolved fleet worker count.
-    workers: usize,
-    /// Speculative width of the run (frontier states per batch).
-    width: usize,
-    /// Wall-clock seconds for the whole profile.
-    total_secs: f64,
-    /// Local (no-fleet, width-1) profile time divided by `total_secs` —
-    /// only meaningful when `speedup_valid`.
-    speedup_vs_local: f64,
-    /// Expansion jobs stolen by fleet workers.
-    steals: usize,
-    /// Expansion leases re-published after the straggler timeout.
-    stragglers_requeued: usize,
-    /// Duplicate expansion results checked and discarded.
-    duplicates_discarded: usize,
-    /// Diverging duplicates (must be 0; nonzero fails the run).
-    conflicts: usize,
-}
-
-/// Streaming summary of one latency histogram from the metrics registry
-/// (the same numbers `client --metrics` renders as `*_count` / `*_sum` /
-/// `*_min` / `*_max`).
-#[derive(serde::Serialize)]
-struct LatencySummary {
-    /// Registry series name.
-    series: String,
-    /// Samples observed.
-    count: u64,
-    /// Mean sample in microseconds.
-    mean_micros: f64,
-    /// Smallest sample in microseconds.
-    min_micros: f64,
-    /// Largest sample in microseconds.
-    max_micros: f64,
-}
-
-/// Read one histogram series out of the process-wide registry.
-fn latency_summary(series: &str) -> LatencySummary {
-    let found =
-        affidavit_obs::metrics()
-            .snapshot()
-            .into_iter()
-            .find_map(|(name, value)| match value {
-                affidavit_obs::MetricValue::Histogram {
-                    count,
-                    sum,
-                    min,
-                    max,
-                } if name == series => Some((count, sum, min, max)),
-                _ => None,
-            });
-    match found {
-        Some((count, sum, min, max)) if count > 0 => LatencySummary {
-            series: series.to_owned(),
-            count,
-            mean_micros: sum / count as f64,
-            min_micros: min,
-            max_micros: max,
-        },
-        _ => LatencySummary {
-            series: series.to_owned(),
-            count: 0,
-            mean_micros: 0.0,
-            min_micros: 0.0,
-            max_micros: 0.0,
-        },
-    }
-}
-
 /// Distributed-profiling scaling measurement, serialized into
 /// `BENCH_dist.json` at the repo root. The same snapshot directories are
 /// profiled through `affidavit-dist`'s work-stealing job queue on every
@@ -414,17 +276,6 @@ struct DistBench {
     jobs: usize,
     /// One row per measured (transport, worker-count) configuration.
     rows: Vec<DistRow>,
-    /// Expansion-stealing rows: the profile runs in-process with the
-    /// fan-out gate opened, and the speculation driver's frontier
-    /// batches are stolen by an `ExpansionFleet` on each transport.
-    /// Every row must render the local width-1 profile byte-identically
-    /// — report, `polled` and `generated` included.
-    expansion_rows: Vec<ExpansionRow>,
-    /// Per-expansion latency distributions behind the expansion rows:
-    /// `search_expansion_micros` (one sample per state expansion) and
-    /// `dist_expansion_rtt_micros` (one sample per fetched expansion-job
-    /// result, queue wait included).
-    expansion_latency: Vec<LatencySummary>,
     /// Hardware threads available on the measuring machine.
     hardware_threads: usize,
     /// False when the machine cannot physically exhibit parallel speedup
@@ -508,89 +359,6 @@ fn bench_dist(
         "every transport and worker count must render the single-process profile byte-identically"
     );
 
-    // Expansion stealing: the same snapshots profiled *in-process*, with
-    // the speculation driver's width-4 frontier batches published to an
-    // `ExpansionFleet` on each available transport. The fan-out gate is
-    // opened (`speculation_min_records = 0`) so the small bench tables
-    // actually speculate; serial-replay reconciliation must still render
-    // the width-1 local profile byte-identically — `polled` and
-    // `generated` counters included, which `canonical` covers via
-    // `to_json`.
-    let started = Instant::now();
-    profile_dirs(before, after, opts).expect("local profile");
-    let local_secs = started.elapsed().as_secs_f64();
-    let mut expansion_rows = Vec::new();
-    for (transport, backend) in &backends {
-        for workers in [1usize, 2] {
-            let width = 4;
-            let fleet = std::sync::Arc::new(
-                affidavit_dist::ExpansionFleet::new(affidavit_dist::ExpansionFleetOptions {
-                    workers,
-                    backend: backend.clone(),
-                    ..affidavit_dist::ExpansionFleetOptions::default()
-                })
-                .expect("expansion fleet"),
-            );
-            let mut exp_opts = opts.clone();
-            exp_opts.config.speculative_width = width;
-            exp_opts.config.speculation_min_records = 0;
-            exp_opts.executor =
-                Some(fleet.clone() as std::sync::Arc<dyn affidavit_core::ExpansionExecutor>);
-            let started = Instant::now();
-            let profile = profile_dirs(before, after, &exp_opts).expect("stolen profile");
-            let total_secs = started.elapsed().as_secs_f64();
-            assert_eq!(
-                canonical(profile),
-                local,
-                "expansion stealing over {transport} with {workers} workers must render \
-                 the local profile byte-identically"
-            );
-            let stats = fleet.stats().expect("fleet stats");
-            expansion_rows.push(ExpansionRow {
-                transport: (*transport).to_owned(),
-                workers: fleet.workers(),
-                width,
-                total_secs,
-                speedup_vs_local: local_secs / total_secs.max(1e-12),
-                steals: stats.steals,
-                stragglers_requeued: stats.requeues,
-                duplicates_discarded: stats.duplicates_discarded,
-                conflicts: stats.conflicts,
-            });
-        }
-    }
-    assert!(
-        expansion_rows.iter().any(|r| r.steals > 0),
-        "at least one expansion-stealing run must actually steal"
-    );
-
-    // Latency regression gate: both per-expansion histograms must have
-    // accumulated samples, and the mean round-trip must sit far inside
-    // the fleet's per-batch deadline — a mean anywhere near it means
-    // every batch is timing out and falling back to local expansion.
-    let expansion_latency = vec![
-        latency_summary("search_expansion_micros"),
-        latency_summary("dist_expansion_rtt_micros"),
-    ];
-    assert!(
-        expansion_latency[0].count > 0,
-        "the searches must observe per-expansion latency samples"
-    );
-    assert!(
-        expansion_latency[1].count > 0,
-        "the stolen runs must fetch at least one remote expansion result"
-    );
-    assert!(
-        expansion_latency[1].mean_micros < 60e6,
-        "mean expansion round-trip {}us is outside the regression gate",
-        expansion_latency[1].mean_micros
-    );
-    assert_eq!(
-        affidavit_obs::metrics().counter("dist_expansion_declined"),
-        0,
-        "no expansion batch may be declined in the bench"
-    );
-
     // Registry regression gate: the deterministic counters this JSON is
     // built from must equal what the coordinator itself published into
     // the process-wide metrics registry during the final run.
@@ -613,8 +381,6 @@ fn bench_dist(
         tables,
         jobs,
         rows,
-        expansion_rows,
-        expansion_latency,
         hardware_threads: speedup::hardware_threads(),
         speedup_valid: speedup::warn_if_invalid(),
         deterministic,
@@ -787,238 +553,6 @@ fn bench_ingest(
         disk_backend_secs: disk,
         disk_budget_bytes,
         disk_spilled_bytes: spilled,
-        speedup_valid: speedup::warn_if_invalid(),
-        deterministic,
-    }
-}
-
-/// Frontier-scaling measurement: one §5.1 synthetic instance solved at
-/// several `speculative_width`s, serialized into `BENCH_frontier.json` at
-/// the repo root. The indexed vectors (`total_secs`, …) line up with
-/// `widths`.
-#[derive(serde::Serialize)]
-struct FrontierBench {
-    /// Base-table rows of the synthetic instance.
-    rows: usize,
-    /// Attribute count of the instance.
-    attrs: usize,
-    /// Solver runs averaged per width.
-    runs: usize,
-    /// Worker threads used at every width.
-    threads: usize,
-    /// Hardware threads available on the measuring machine.
-    hardware_threads: usize,
-    /// The speculative widths measured.
-    widths: Vec<usize>,
-    /// Mean wall-clock seconds per solve at each width.
-    total_secs: Vec<f64>,
-    /// `total_secs[0] / total_secs[i]` — only meaningful when
-    /// `speedup_valid`.
-    speedup_vs_width1: Vec<f64>,
-    /// Expansions computed speculatively at each width (work performed).
-    speculative_expansions: Vec<usize>,
-    /// Speculative expansions invalidated by reconciliation at each width.
-    speculation_discarded: Vec<usize>,
-    /// States polled per solve — identical at every width by the
-    /// reconciliation invariant (asserted).
-    polled: usize,
-    /// State expansions per solve — identical at every width (asserted).
-    expansions: usize,
-    /// The fan-out gate (`speculation_min_records`): frontier states with
-    /// fewer live records expand on the serial path regardless of width.
-    speculation_min_records: usize,
-    /// True when every measured width stayed under the gate (zero
-    /// speculative expansions): all widths then run the *same* serial
-    /// code path, so `speedup_vs_width1` is 1 by construction —
-    /// `total_secs` still carries the raw per-width timings.
-    gated_serial: bool,
-    /// Widths of the expansion-stealing sweep: the gate is opened and
-    /// each width's frontier batches are published to an in-process
-    /// `ExpansionFleet` instead of the local thread pool.
-    stolen_widths: Vec<usize>,
-    /// Fleet worker threads of the stolen sweep.
-    stolen_workers: usize,
-    /// Mean wall-clock seconds per stolen solve at each stolen width.
-    stolen_total_secs: Vec<f64>,
-    /// Expansion jobs stolen by the fleet across the stolen sweep.
-    stolen_jobs: usize,
-    /// False when the machine cannot physically exhibit parallel speedup
-    /// (one hardware thread) — treat `speedup_vs_width1` as noise.
-    speedup_valid: bool,
-    /// Every width — serial-pool and fleet-stolen alike — returned a
-    /// byte-identical rendered explanation, cost, and poll/expansion
-    /// counters.
-    deterministic: bool,
-}
-
-fn bench_frontier(
-    rows: usize,
-    seed: u64,
-    runs: usize,
-    threads: usize,
-    widths: &[usize],
-) -> FrontierBench {
-    use affidavit_core::Affidavit;
-
-    let spec = affidavit_datasets::specs::by_name("adult").expect("dataset exists");
-    let solve =
-        |width: usize,
-         min_records: Option<usize>,
-         executor: Option<std::sync::Arc<dyn affidavit_core::ExpansionExecutor>>| {
-            let mut total = 0.0f64;
-            let mut speculative = 0usize;
-            let mut discarded = 0usize;
-            let mut polled = 0usize;
-            let mut expansions = 0usize;
-            let mut last_run = (0usize, 0usize);
-            let mut fingerprint = String::new();
-            for run in 0..runs {
-                let (base, pool) = generate_rows(&spec, rows.min(spec.rows), seed + run as u64);
-                let mut generated =
-                    Blueprint::new(base, pool, GenConfig::new(0.3, 0.3, seed + run as u64))
-                        .materialize_full();
-                let mut cfg = affidavit_core::AffidavitConfig::paper_id()
-                    .with_seed(seed + run as u64)
-                    .with_threads(threads)
-                    .with_speculative_width(width);
-                if let Some(floor) = min_records {
-                    cfg.speculation_min_records = floor;
-                }
-                let mut solver = Affidavit::new(cfg);
-                if let Some(executor) = &executor {
-                    solver = solver.with_expansion_executor(executor.clone());
-                }
-                let out = solver.explain(&mut generated.instance);
-                total += out.stats.duration.as_secs_f64();
-                speculative += out.stats.speculative_expansions;
-                discarded += out.stats.speculation_discarded;
-                polled += out.stats.polled;
-                expansions += out.stats.expansions;
-                last_run = (out.stats.polled, out.stats.expansions);
-                fingerprint.push_str(&affidavit_core::report::render_report(
-                    &out.explanation,
-                    &generated.instance,
-                ));
-                fingerprint.push_str(&format!(
-                    "|{};{};{};",
-                    out.stats.end_state_cost.to_bits(),
-                    out.stats.polled,
-                    out.stats.expansions
-                ));
-            }
-            (
-                total / runs as f64,
-                speculative,
-                discarded,
-                polled,
-                expansions,
-                fingerprint,
-                last_run,
-            )
-        };
-
-    let mut total_secs = Vec::new();
-    let mut speculative_expansions = Vec::new();
-    let mut speculation_discarded = Vec::new();
-    let mut fingerprints: Vec<String> = Vec::new();
-    let mut polled = 0usize;
-    let mut expansions = 0usize;
-    let mut last_run = (0usize, 0usize);
-    for &w in widths {
-        let (secs, spec_exp, disc, p, e, fp, last) = solve(w, None, None);
-        total_secs.push(secs);
-        speculative_expansions.push(spec_exp);
-        speculation_discarded.push(disc);
-        polled = p;
-        expansions = e;
-        last_run = last;
-        fingerprints.push(fp);
-    }
-    // Under the fan-out gate the instance never clears
-    // `speculation_min_records`, so every width runs the serial driver's
-    // exact code path (zero speculative expansions).
-    let speculation_min_records =
-        affidavit_core::AffidavitConfig::paper_id().speculation_min_records;
-    let gated_serial = widths
-        .iter()
-        .zip(&speculative_expansions)
-        .all(|(&w, &s)| w == 1 || s == 0);
-
-    // Expansion-stealing sweep: gate opened, frontier batches published
-    // to an in-process fleet. The fingerprints (report bytes, end-state
-    // cost, polled, expansions) must match the serial sweep exactly.
-    let stolen_widths = vec![1usize, 4];
-    let stolen_workers = 2usize;
-    let fleet = std::sync::Arc::new(
-        affidavit_dist::ExpansionFleet::with_backend(
-            affidavit_dist::DistBackend::InProcess,
-            stolen_workers,
-        )
-        .expect("expansion fleet"),
-    );
-    let mut stolen_total_secs = Vec::new();
-    for &w in &stolen_widths {
-        let (secs, _spec_exp, _disc, _p, _e, fp, _last) = solve(
-            w,
-            Some(0),
-            Some(fleet.clone() as std::sync::Arc<dyn affidavit_core::ExpansionExecutor>),
-        );
-        stolen_total_secs.push(secs);
-        fingerprints.push(fp);
-    }
-    let stolen_jobs = fleet.stats().expect("fleet stats").steals;
-    assert!(
-        stolen_jobs > 0,
-        "the width-4 stolen sweep must publish expansion jobs to the fleet"
-    );
-    let deterministic = fingerprints.windows(2).all(|w| w[0] == w[1]);
-    assert!(
-        deterministic,
-        "speculative widths — local and fleet-stolen — must render byte-identical explanations"
-    );
-    // Registry regression gate: the search counters this JSON is built
-    // from must match what the engine itself published into the
-    // process-wide metrics registry during the final solve.
-    let m = affidavit_obs::metrics();
-    assert_eq!(
-        m.counter("search_polled"),
-        last_run.0 as u64,
-        "registry search_polled must match the final solve"
-    );
-    assert_eq!(
-        m.counter("search_expansions"),
-        last_run.1 as u64,
-        "registry search_expansions must match the final solve"
-    );
-    let speedup_vs_width1 = if gated_serial {
-        // Identical serial work at every width — the ratio is 1 by
-        // construction; the raw timings stay in `total_secs`.
-        vec![1.0; total_secs.len()]
-    } else {
-        total_secs
-            .iter()
-            .map(|&s| total_secs[0] / s.max(1e-12))
-            .collect()
-    };
-    FrontierBench {
-        rows: rows.min(spec.rows),
-        attrs: spec.attrs,
-        runs,
-        threads,
-        hardware_threads: speedup::hardware_threads(),
-        widths: widths.to_vec(),
-        total_secs,
-        speedup_vs_width1,
-        speculative_expansions,
-        speculation_discarded,
-        polled: polled / runs.max(1),
-        expansions: expansions / runs.max(1),
-        speculation_min_records,
-        gated_serial,
-        stolen_widths,
-        stolen_workers,
-        stolen_total_secs,
-        stolen_jobs,
         speedup_valid: speedup::warn_if_invalid(),
         deterministic,
     }

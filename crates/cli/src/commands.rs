@@ -24,7 +24,7 @@ USAGE:
   affidavit profile <source_dir> <target_dir> [SEARCH] [INGESTION] [DISTRIBUTED]
                     [INCREMENTAL] [--align] [--json FILE] [--stable]
   affidavit serve   [--listen ADDR] [--sessions N] [--max-inflight N]
-                    [--request-deadline-secs N] [--expansion-workers N]
+                    [--request-deadline-secs N]
   affidavit client  --connect HOST:PORT <source.csv> <target.csv> [SEARCH]
                     [INGESTION] [INCREMENTAL] [--align] [--stable]
                     [--format human|json]
@@ -32,7 +32,8 @@ USAGE:
                     | --shutdown | --pin <source.csv> <target.csv>)
   affidavit help
 
-Every command also accepts the OBSERVABILITY flags below.
+Every command also accepts the OBSERVABILITY flags below; any other flag a
+command does not list is rejected.
 
 SEARCH FLAGS (explain, apply, profile):
   --config id|overlap      Paper configuration: H^id robust search or Hs greedy
@@ -43,14 +44,6 @@ SEARCH FLAGS (explain, apply, profile):
   --threads N              Worker threads for the candidate-generation phase;
                            0 = one per hardware thread (default: 1). Results
                            are byte-identical at every thread count.
-  --speculative-width K    Frontier states expanded speculatively per driver
-                           iteration (default: 1 = speculation off). Results
-                           are byte-identical at every width.
-  --speculation-min-records N
-                           Smallest source+target record count worth
-                           speculating on (default: 4096). Below it the
-                           driver expands one state at a time; 0 speculates
-                           on every instance.
   --trace                  Record and print the search tree (default: off).
   --corpus                 Also draw candidates from the built-in function
                            corpus (default: off; induction only).
@@ -86,27 +79,10 @@ INCREMENTAL FLAGS (explain, profile, client):
                            profile).
 
 DISTRIBUTED FLAGS (profile):
-  --workers N              Fan work out to N workers over a work-stealing
-                           job broker (default: 0 — profile in-process
-                           under --steal pairs, one worker per hardware
-                           thread under --steal expansions). The report is
-                           byte-identical at every worker count.
-  --steal pairs|expansions Unit of work the workers steal (default:
-                           pairs). pairs publishes whole table pairs as
-                           jobs to affidavit-worker child processes.
-                           expansions profiles in-process but publishes
-                           the speculation driver's K-way frontier
-                           batches (--speculative-width) to the broker,
-                           where fleet workers — in-process threads
-                           without --transport, affidavit-worker
-                           processes with it — expand them side by side;
-                           serial replay keeps the report byte-identical
-                           to --workers 0 on every transport.
-  --expansion-batch N      Expansions leased per job under --steal
-                           expansions: the driver's K-way batch is
-                           chunked into jobs of this many frontier
-                           states (default: 4; 0 = the whole batch as
-                           one job).
+  --workers N              Fan table pairs out to N affidavit-worker
+                           processes over a work-stealing job broker
+                           (default: 0 — profile in-process). The report
+                           is byte-identical at every worker count.
   --transport fs|tcp       Broker transport for --workers (default: fs).
                            fs claims jobs by atomic rename in a spool
                            directory; tcp serves framed steals from a
@@ -156,12 +132,6 @@ SERVICE FLAGS (serve, client):
                            cooperatively and answered with an error.
                            Output stays byte-identical for requests that
                            finish in time (default: 0 = unlimited).
-  --expansion-workers N    serve: attach an in-process expansion-stealing
-                           fleet of N worker threads to every explain's
-                           speculation driver; 0 = one per hardware
-                           thread. Output stays byte-identical with or
-                           without the fleet (default: off — expansions
-                           stay on the request's own thread pool).
   --connect HOST:PORT      client: the daemon to dial. One keep-alive
                            framed connection carries every request; an
                            unreachable daemon exits with code 3
@@ -197,13 +167,53 @@ OBSERVABILITY FLAGS (all commands):
                            wall, max) on stderr when the command
                            finishes (default: off).";
 
+/// Flags every command accepts (read by the observability layer).
+const OBS_FLAGS: &[&str] = &["obs-out", "obs-summary"];
+/// The SEARCH flags of USAGE.
+const SEARCH_FLAGS: &[&str] = &["config", "seed", "threads", "trace", "corpus", "extended"];
+/// The INGESTION flags of USAGE.
+const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows", "pool-backend", "pool-budget-bytes"];
+/// The INCREMENTAL flags of USAGE.
+const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
+/// The DISTRIBUTED flags of USAGE.
+const DISTRIBUTED_FLAGS: &[&str] = &[
+    "workers",
+    "transport",
+    "listen",
+    "broker",
+    "steal-timeout-secs",
+    "deadline-secs",
+];
+
 /// Simple positional + flag splitter.
 struct Parsed<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-fn parse(args: &[String]) -> Parsed<'_> {
+/// Split `args` for `command`, rejecting any `--name` outside the
+/// command's `accepted` flag groups (and [`OBS_FLAGS`]) — a mistyped or
+/// retired flag fails loudly instead of being silently ignored.
+fn parse<'a>(
+    args: &'a [String],
+    command: &str,
+    accepted: &[&[&str]],
+) -> Result<Parsed<'a>, String> {
+    let parsed = split(args);
+    for (name, _) in &parsed.flags {
+        if !std::iter::once(OBS_FLAGS)
+            .chain(accepted.iter().copied())
+            .any(|group| group.contains(name))
+        {
+            return Err(format!(
+                "unknown flag --{name} for `affidavit {command}` (see `affidavit help`)"
+            ));
+        }
+    }
+    Ok(parsed)
+}
+
+fn split(args: &[String]) -> Parsed<'_> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
@@ -296,16 +306,6 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
             .parse()
             .map_err(|_| format!("bad --threads {threads:?} (use a count, or 0 for auto)"))?;
     }
-    if let Some(width) = p.flag_value("speculative-width") {
-        cfg.speculative_width = width.parse().map_err(|_| {
-            format!("bad --speculative-width {width:?} (frontier states expanded per iteration)")
-        })?;
-    }
-    if let Some(min) = p.flag_value("speculation-min-records") {
-        cfg.speculation_min_records = min.parse().map_err(|_| {
-            format!("bad --speculation-min-records {min:?} (record count, or 0 for always)")
-        })?;
-    }
     if p.has("trace") {
         cfg.trace = true;
     }
@@ -320,7 +320,16 @@ fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
 
 /// `affidavit explain`: learn the transformation and alignment.
 pub fn explain(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(
+        args,
+        "explain",
+        &[
+            SEARCH_FLAGS,
+            INGESTION_FLAGS,
+            INCREMENTAL_FLAGS,
+            &["align", "sql", "save", "stable"],
+        ],
+    )?;
     let [src, tgt] = p.positional[..] else {
         return Err(format!("explain needs two CSV paths\n{USAGE}"));
     };
@@ -344,7 +353,6 @@ pub fn explain(args: &[String]) -> Result<(), String> {
             align: p.has("align"),
             ingest: ingest_opts,
             pool: pool_cfg,
-            executor: None,
         };
         let state = match p.flag_value("delta-state") {
             Some(dir) => Path::new(dir).join("explain.affidavit-delta.json"),
@@ -461,23 +469,32 @@ pub fn explain(args: &[String]) -> Result<(), String> {
 /// directories (paired by file stem) — in-process by default, or fanned
 /// out to `affidavit-worker` child processes with `--workers N`.
 pub fn profile(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(
+        args,
+        "profile",
+        &[
+            SEARCH_FLAGS,
+            INGESTION_FLAGS,
+            DISTRIBUTED_FLAGS,
+            INCREMENTAL_FLAGS,
+            &["align", "json", "stable"],
+        ],
+    )?;
     let [src_dir, tgt_dir] = p.positional[..] else {
         return Err(format!("profile needs two directories\n{USAGE}"));
     };
     let config = build_config(&p)?;
     let (ingest_opts, pool_cfg) = build_ingest(&p, config.threads)?;
-    let mut opts = affidavit_core::profiling::ProfileOptions {
+    let opts = affidavit_core::profiling::ProfileOptions {
         config,
         align: p.has("align"),
         ingest: ingest_opts,
         pool: pool_cfg,
-        executor: None,
     };
     let workers: usize = match p.flag_value("workers") {
         Some(v) => v
             .parse()
-            .map_err(|_| format!("bad --workers {v:?} (workers, 0 = in-process / autosize)"))?,
+            .map_err(|_| format!("bad --workers {v:?} (workers, 0 = in-process)"))?,
         None => 0,
     };
     let secs_flag = |name: &str, default: u64| -> Result<std::time::Duration, String> {
@@ -497,103 +514,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
             "--delta does not combine with --workers (incremental state is per-process)".to_owned(),
         );
     }
-    let steal = p.flag_value("steal").unwrap_or("pairs");
-    if !matches!(steal, "pairs" | "expansions") {
-        return Err(format!("unknown --steal {steal:?} (use pairs|expansions)"));
-    }
-    if steal != "expansions" && p.has("expansion-batch") {
-        return Err("--expansion-batch only applies to --steal expansions".to_owned());
-    }
-    if steal == "expansions" && p.has("delta") {
-        return Err(
-            "--delta does not combine with --steal expansions (spliced pairs perform no \
-             fresh search to steal from)"
-                .to_owned(),
-        );
-    }
-    let mut profile = if steal == "expansions" {
-        // The profile itself runs in-process; only the speculation
-        // driver's frontier batches go over the broker.
-        let backend = match p.flag_value("transport") {
-            None => {
-                for flag in ["listen", "broker"] {
-                    if p.has(flag) {
-                        return Err(format!(
-                            "--{flag} needs --transport; without one the expansion \
-                             fleet runs in-process worker threads"
-                        ));
-                    }
-                }
-                affidavit_dist::DistBackend::InProcess
-            }
-            Some("fs") => {
-                if p.has("listen") {
-                    return Err("--listen only applies to --transport tcp".to_owned());
-                }
-                affidavit_dist::DistBackend::ChildProcesses {
-                    broker_dir: p.flag_value("broker").map(std::path::PathBuf::from),
-                    worker_bin: None,
-                }
-            }
-            Some("tcp") => {
-                if p.has("broker") {
-                    return Err(
-                        "--broker is the fs transport's spool; with --transport tcp use --listen"
-                            .to_owned(),
-                    );
-                }
-                affidavit_dist::DistBackend::Tcp {
-                    listen: p.flag_value("listen").map(str::to_owned),
-                    worker_bin: None,
-                }
-            }
-            Some(other) => return Err(format!("unknown --transport {other:?} (use fs|tcp)")),
-        };
-        let mut fleet_opts = affidavit_dist::ExpansionFleetOptions {
-            workers,
-            backend,
-            ..affidavit_dist::ExpansionFleetOptions::default()
-        };
-        if let Some(v) = p.flag_value("expansion-batch") {
-            fleet_opts.batch = v.parse().map_err(|_| {
-                format!("bad --expansion-batch {v:?} (expansions per job, 0 = whole batch)")
-            })?;
-        }
-        if p.has("steal-timeout-secs") {
-            fleet_opts.steal_timeout = secs_flag("steal-timeout-secs", 30)?;
-        }
-        if p.has("deadline-secs") {
-            fleet_opts.deadline = secs_flag("deadline-secs", 120)?;
-        }
-        let fleet = std::sync::Arc::new(affidavit_dist::ExpansionFleet::new(fleet_opts)?);
-        if let Some(addr) = fleet.tcp_addr() {
-            // Scripts attach elastic workers from this line.
-            affidavit_obs::diag(
-                "expansion fleet",
-                &format!(
-                    "tcp coordinator on {addr} — extra workers can dial in with \
-                     `affidavit-worker --connect {addr}`"
-                ),
-            );
-        }
-        let transport = p.flag_value("transport").unwrap_or("in-process");
-        let fleet_workers = fleet.workers();
-        opts.executor =
-            Some(fleet.clone() as std::sync::Arc<dyn affidavit_core::ExpansionExecutor>);
-        let profile =
-            affidavit_core::profiling::profile_dirs(Path::new(src_dir), Path::new(tgt_dir), &opts)?;
-        opts.executor = None;
-        let stats = fleet.stats().unwrap_or_default();
-        affidavit_obs::diag(
-            &format!("expansion stealing ({transport})"),
-            &format!(
-                "{fleet_workers} workers — {} expansion jobs stolen, {} stragglers \
-                 requeued, {} duplicates discarded, {} conflicts",
-                stats.steals, stats.requeues, stats.duplicates_discarded, stats.conflicts
-            ),
-        );
-        profile
-    } else if workers == 0 {
+    let mut profile = if workers == 0 {
         for flag in [
             "transport",
             "listen",
@@ -691,7 +612,16 @@ pub fn profile(args: &[String]) -> Result<(), String> {
 /// `affidavit serve`: run the resident profiling daemon until a client
 /// asks it to shut down (`affidavit client --connect ADDR --shutdown`).
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(
+        args,
+        "serve",
+        &[&[
+            "listen",
+            "sessions",
+            "max-inflight",
+            "request-deadline-secs",
+        ]],
+    )?;
     if !p.positional.is_empty() {
         return Err(format!("serve takes no positional arguments\n{USAGE}"));
     }
@@ -716,18 +646,11 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let expansion_workers = match p.flag_value("expansion-workers") {
-        Some(v) => Some(v.parse().map_err(|_| {
-            format!("bad --expansion-workers {v:?} (fleet threads, 0 = one per hardware thread)")
-        })?),
-        None => None,
-    };
     let opts = affidavit_serve::ServeOptions {
         listen: p.flag_value("listen").unwrap_or("127.0.0.1:0").to_owned(),
         sessions,
         max_inflight,
         request_deadline,
-        expansion_workers,
         ..affidavit_serve::ServeOptions::default()
     };
     let mut daemon = affidavit_serve::serve(&opts)?;
@@ -754,8 +677,27 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 /// exits with code 3 (the broker-lost convention).
 pub fn client(args: &[String]) -> Result<(), crate::Failure> {
     use affidavit_serve::{ClientError, ServeClient};
-    let p = parse(args);
     let plain = crate::Failure::from;
+    let p = parse(
+        args,
+        "client",
+        &[
+            SEARCH_FLAGS,
+            INGESTION_FLAGS,
+            INCREMENTAL_FLAGS,
+            &[
+                "connect",
+                "format",
+                "ping",
+                "server-stats",
+                "metrics",
+                "pin",
+                "shutdown",
+            ],
+            &["align", "stable"],
+        ],
+    )
+    .map_err(plain)?;
     let fail = |e: ClientError| crate::Failure {
         code: if matches!(e, ClientError::Lost(_)) {
             affidavit_dist::BROKER_LOST_EXIT_CODE
@@ -936,7 +878,7 @@ fn build_spec(
 
 /// `affidavit diff`: classic key-based comparison.
 pub fn diff(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(args, "diff", &[&["key"]])?;
     let [src, tgt] = p.positional[..] else {
         return Err(format!("diff needs two CSV paths\n{USAGE}"));
     };
@@ -1000,7 +942,7 @@ fn affidavit_baselines_diff(instance: &ProblemInstance, keys: &[AttrId]) -> Stri
 /// `affidavit apply`: transform unseen rows, either with a freshly learned
 /// explanation (three CSV paths) or with a saved one (`--explanation`).
 pub fn apply(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(args, "apply", &[SEARCH_FLAGS, &["explanation", "out"]])?;
     if let Some(expl_path) = p.flag_value("explanation") {
         let [unseen_path] = p.positional[..] else {
             return Err(format!("apply --explanation needs one CSV path\n{USAGE}"));
@@ -1094,7 +1036,7 @@ pub fn apply(args: &[String]) -> Result<(), String> {
 
 /// `affidavit gen`: write a synthetic §5.1 snapshot pair.
 pub fn gen(args: &[String]) -> Result<(), String> {
-    let p = parse(args);
+    let p = parse(args, "gen", &[&["eta", "tau", "rows", "seed", "out-dir"]])?;
     let [dataset] = p.positional[..] else {
         return Err(format!("gen needs a dataset name\n{USAGE}"));
     };
@@ -1167,7 +1109,7 @@ mod tests {
         let args = argv(&[
             "a.csv", "b.csv", "--config", "overlap", "--trace", "--seed", "9",
         ]);
-        let p = parse(&args);
+        let p = split(&args);
         assert_eq!(p.positional, vec!["a.csv", "b.csv"]);
         assert_eq!(p.flag_value("config"), Some("overlap"));
         assert_eq!(p.flag_value("seed"), Some("9"));
@@ -1178,21 +1120,42 @@ mod tests {
     #[test]
     fn build_config_variants() {
         let good = argv(&["--config", "overlap", "--seed", "123"]);
-        let cfg = build_config(&parse(&good)).unwrap();
+        let cfg = build_config(&split(&good)).unwrap();
         assert_eq!(cfg.seed, 123);
         assert_eq!(cfg.queue_width, 1);
         let bad = argv(&["--config", "nope"]);
-        assert!(build_config(&parse(&bad)).is_err());
+        assert!(build_config(&split(&bad)).is_err());
     }
 
     #[test]
-    fn build_config_speculative_width() {
-        let good = argv(&["--threads", "4", "--speculative-width", "8"]);
-        let cfg = build_config(&parse(&good)).unwrap();
+    fn build_config_threads() {
+        let good = argv(&["--threads", "4"]);
+        let cfg = build_config(&split(&good)).unwrap();
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.speculative_width, 8);
-        let bad = argv(&["--speculative-width", "wide"]);
-        assert!(build_config(&parse(&bad)).is_err());
+        let bad = argv(&["--threads", "wide"]);
+        assert!(build_config(&split(&bad)).is_err());
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_rejected() {
+        for (flag, value) in [
+            ("--speculative-width", "4"),
+            ("--steal", "expansions"),
+            ("--thraeds", "4"),
+        ] {
+            let err = explain(&argv(&["a.csv", "b.csv", flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            let err = profile(&argv(&["a", "b", flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = serve(&argv(&["--expansion-workers", "2"])).unwrap_err();
+        assert!(err.contains("--expansion-workers"), "{err}");
+        let err = client(&argv(&["--connect", "127.0.0.1:9", "--bogus"])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("--bogus"), "{}", err.message);
+        // Every command knows the observability flags.
+        let err = gen(&argv(&["iris", "--obs-summary"])).unwrap_err();
+        assert!(err.contains("--out-dir"), "{err}");
     }
 
     #[test]
@@ -1205,14 +1168,14 @@ mod tests {
             "--pool-budget-bytes",
             "4096",
         ]);
-        let p = parse(&args);
+        let p = split(&args);
         let (ingest_opts, pool_cfg) = build_ingest(&p, 3).unwrap();
         assert_eq!(ingest_opts.chunk_rows, 128);
         assert_eq!(ingest_opts.threads, 3);
         assert_eq!(pool_cfg.backend, PoolBackend::Disk);
         assert_eq!(pool_cfg.budget_bytes, 4096);
-        assert!(build_ingest(&parse(&argv(&["--pool-backend", "mmap"])), 1).is_err());
-        assert!(build_ingest(&parse(&argv(&["--ingest-chunk-rows", "many"])), 1).is_err());
+        assert!(build_ingest(&split(&argv(&["--pool-backend", "mmap"])), 1).is_err());
+        assert!(build_ingest(&split(&argv(&["--ingest-chunk-rows", "many"])), 1).is_err());
     }
 
     #[test]
@@ -1327,16 +1290,12 @@ mod tests {
             "--config",
             "--seed",
             "--threads",
-            "--speculative-width",
-            "--speculation-min-records",
             "--ingest-chunk-rows",
             "--pool-backend",
             "--pool-budget-bytes",
             "--delta",
             "--delta-state",
             "--workers",
-            "--steal",
-            "--expansion-batch",
             "--transport",
             "--listen",
             "--broker",
@@ -1347,7 +1306,6 @@ mod tests {
             "--sessions",
             "--max-inflight",
             "--request-deadline-secs",
-            "--expansion-workers",
             "--connect",
             "--format",
             "--ping",
@@ -1450,8 +1408,6 @@ mod tests {
         let d = dir.to_str().unwrap();
         let err = profile(&argv(&[d, d, "--workers", "many"])).unwrap_err();
         assert!(err.contains("--workers"), "{err}");
-        let err = profile(&argv(&[d, d, "--speculation-min-records", "lots"])).unwrap_err();
-        assert!(err.contains("--speculation-min-records"), "{err}");
         let err = profile(&argv(&[d, d, "--broker", "/tmp/spool"])).unwrap_err();
         assert!(err.contains("--workers"), "{err}");
         // Transport flags without a distributed run, or crossed between
@@ -1474,75 +1430,7 @@ mod tests {
         assert!(err.contains("--listen"), "{err}");
         let err = profile(&argv(&[d, d, "--workers", "2", "--listen", "127.0.0.1:0"])).unwrap_err();
         assert!(err.contains("--transport tcp"), "{err}");
-        // Expansion-stealing flag validation.
-        let err = profile(&argv(&[d, d, "--steal", "rows"])).unwrap_err();
-        assert!(err.contains("pairs|expansions"), "{err}");
-        let err = profile(&argv(&[d, d, "--expansion-batch", "4"])).unwrap_err();
-        assert!(err.contains("--steal expansions"), "{err}");
-        let err = profile(&argv(&[d, d, "--steal", "expansions", "--delta"])).unwrap_err();
-        assert!(err.contains("--delta"), "{err}");
-        let err = profile(&argv(&[
-            d,
-            d,
-            "--steal",
-            "expansions",
-            "--listen",
-            "127.0.0.1:0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--transport"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn profile_steals_expansions_in_process() {
-        // `--steal expansions` over in-process fleet threads writes the
-        // same machine-readable profile as the plain local run.
-        let root = std::env::temp_dir().join("affidavit-cli-steal-exp-test");
-        std::fs::remove_dir_all(&root).ok();
-        let src = root.join("v1");
-        let tgt = root.join("v2");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::create_dir_all(&tgt).unwrap();
-        std::fs::write(src.join("a.csv"), "k,v\nx,1000\ny,2000\nz,3000\n").unwrap();
-        std::fs::write(tgt.join("a.csv"), "k,v\nx,1\ny,2\nz,3\n").unwrap();
-        let (s, t) = (src.to_str().unwrap(), tgt.to_str().unwrap());
-        let local = root.join("local.json");
-        let stolen = root.join("stolen.json");
-        profile(&argv(&[
-            s,
-            t,
-            "--stable",
-            "--json",
-            local.to_str().unwrap(),
-        ]))
-        .unwrap();
-        profile(&argv(&[
-            s,
-            t,
-            "--stable",
-            "--steal",
-            "expansions",
-            "--workers",
-            "2",
-            "--speculative-width",
-            "4",
-            // The gate would otherwise keep this tiny fixture local and
-            // the test would compare two identical local runs.
-            "--speculation-min-records",
-            "0",
-            "--expansion-batch",
-            "1",
-            "--json",
-            stolen.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&local).unwrap(),
-            std::fs::read_to_string(&stolen).unwrap(),
-            "expansion stealing must not change the profile"
-        );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -215,12 +215,19 @@ pub struct DeltaReport {
 }
 
 /// Fingerprint the parts of the configuration that shape output bytes:
-/// the search configuration and schema alignment. Ingestion chunking and
-/// pool backend are deliberately excluded — they are byte-transparent, so
-/// a manifest recorded under one backend splices under another.
+/// the search configuration and schema alignment. Byte-transparent knobs
+/// are deliberately excluded — the search's `threads` and
+/// `parallel_min_records`, ingestion chunking and the pool backend — so a
+/// manifest recorded under one setting splices under another.
 pub fn config_fingerprint(config: &AffidavitConfig, align: bool) -> String {
+    let defaults = AffidavitConfig::default();
+    let shaping = AffidavitConfig {
+        threads: defaults.threads,
+        parallel_min_records: defaults.parallel_min_records,
+        ..config.clone()
+    };
     let mut fnv = affidavit_store::Fnv::new();
-    fnv.update_str(&serde_json::to_string(config).expect("configs are serializable"));
+    fnv.update_str(&serde_json::to_string(&shaping).expect("configs are serializable"));
     fnv.update(&[u8::from(align)]);
     fnv.update_u64(u64::from(DELTA_FORMAT_VERSION));
     fnv.finish().to_string()

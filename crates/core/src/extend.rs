@@ -34,15 +34,11 @@ use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blo
 use affidavit_functions::AttrFunction;
 use affidavit_table::{AttrId, RecordId};
 
-use crate::config::AffidavitConfig;
 use crate::cost::child_state_cost;
-use crate::expansion::{PortableAttrExpansion, PortableChild, PortableExpansion};
 use crate::induction::{induce_candidates, InductionParams};
-use crate::instance::ProblemInstance;
 use crate::ranking::rank_candidates;
 use crate::search::{Ctx, SearchCtx};
 use crate::state::{Assignment, SearchState};
-use crate::stats::{cochran_sample_size, induction_sample_size};
 use crate::trace::TraceNode;
 
 /// Create the child of `state` that assigns `func` to `attr`, refining the
@@ -173,12 +169,8 @@ fn register_child(
 
 /// Undecided attributes ordered by indeterminacy (most determined first,
 /// ties towards the lower attribute index) — the `Order-By-Indeterminacy`
-/// step. Takes the source table directly so speculative workers can order
-/// a frozen state without the driver context.
-pub(crate) fn order_by_indeterminacy(
-    source: &affidavit_table::Table,
-    state: &SearchState,
-) -> Vec<usize> {
+/// step.
+fn order_by_indeterminacy(source: &affidavit_table::Table, state: &SearchState) -> Vec<usize> {
     let mut attrs = state.undecided_attrs();
     let keys: Vec<usize> = attrs
         .iter()
@@ -307,113 +299,16 @@ fn expand_attr(
     }
 }
 
-/// Everything phase 1 produced for one polled state: per-attribute
-/// expansions in processed order, plus whether any candidate beat its
-/// greedy benchmark. Pure worker output — nothing here has touched shared
-/// search state, so an expansion computed speculatively for a state whose
-/// poll turn never comes can be dropped without a trace.
-pub(crate) struct StateExpansion {
-    parts: Vec<AttrExpansion>,
-    any_kept: bool,
-}
-
-impl CandChild {
-    fn into_portable(self) -> PortableChild {
-        PortableChild {
-            func: self.func,
-            blocking: self.blocking,
-            cost: self.cost,
-            kept: self.kept,
-        }
-    }
-
-    fn from_portable(p: PortableChild) -> CandChild {
-        CandChild {
-            func: p.func,
-            blocking: p.blocking,
-            cost: p.cost,
-            kept: p.kept,
-        }
-    }
-}
-
-impl StateExpansion {
-    /// Re-express as the public [`PortableExpansion`] — a move of the same
-    /// data, so the portable form is exactly what phase 2 absorbs.
-    pub(crate) fn into_portable(self) -> PortableExpansion {
-        PortableExpansion {
-            parts: self
-                .parts
-                .into_iter()
-                .map(|p| PortableAttrExpansion {
-                    attr: p.attr,
-                    base_len: p.base_len,
-                    new_strings: p.new_strings,
-                    greedy: p.greedy.into_portable(),
-                    ranked: p.ranked.into_iter().map(CandChild::into_portable).collect(),
-                })
-                .collect(),
-            any_kept: self.any_kept,
-        }
-    }
-
-    /// Inverse of [`StateExpansion::into_portable`]; used by the driver to
-    /// absorb expansions an [`crate::expansion::ExpansionExecutor`]
-    /// computed elsewhere.
-    pub(crate) fn from_portable(p: PortableExpansion) -> StateExpansion {
-        StateExpansion {
-            parts: p
-                .parts
-                .into_iter()
-                .map(|p| AttrExpansion {
-                    attr: p.attr,
-                    base_len: p.base_len,
-                    new_strings: p.new_strings,
-                    greedy: CandChild::from_portable(p.greedy),
-                    ranked: p.ranked.into_iter().map(CandChild::from_portable).collect(),
-                })
-                .collect(),
-            any_kept: p.any_kept,
-        }
-    }
-}
-
-/// Phase 1 from a bare instance + configuration: build the frozen
-/// read-only context from first principles and expand one state. The
-/// worker-process entry point behind
-/// [`expand_portable`](crate::expansion::expand_portable) — derived
-/// sample sizes, Δ and arity are recomputed exactly as
-/// [`Ctx::new`] computes them, so the result is byte-identical to the
-/// driver's own phase 1.
-pub(crate) fn expand_state_portable(
-    instance: &ProblemInstance,
-    cfg: &AffidavitConfig,
-    state: &SearchState,
-    alignment: &[(RecordId, RecordId)],
-) -> PortableExpansion {
-    let sctx = SearchCtx {
-        source: &instance.source,
-        target: &instance.target,
-        pool: &instance.pool,
-        cfg,
-        k_induce: induction_sample_size(cfg.theta, cfg.confidence),
-        k_rank: cochran_sample_size(cfg.theta),
-        delta: instance.delta(),
-        arity: instance.arity(),
-    };
-    expand_state(&sctx, state, alignment).into_portable()
-}
-
 /// Phase 1 for a whole state: order the undecided attributes, expand the
 /// β-batch (and, while nothing beats its greedy benchmark, one further
-/// attribute at a time) against the frozen context. Runs on the driver for
-/// the serial path and on pool workers for speculative frontier
-/// expansion; results are identical either way.
-pub(crate) fn expand_state(
+/// attribute at a time) against the frozen context. Returns the
+/// per-attribute expansions in processed order; nothing in them has
+/// touched shared search state yet.
+fn expand_state(
     sctx: &SearchCtx<'_>,
     state: &SearchState,
     alignment: &[(RecordId, RecordId)],
-) -> StateExpansion {
+) -> Vec<AttrExpansion> {
     let astar = order_by_indeterminacy(sctx.source, state);
     debug_assert!(!astar.is_empty(), "expand_state called on an end state");
     let mut cursor = astar.iter().copied();
@@ -425,9 +320,7 @@ pub(crate) fn expand_state(
     let mut any_kept = false;
 
     while !any_kept && !batch.is_empty() {
-        // Attribute-level fan-out. Inside a speculative state worker this
-        // runs inline (pool workers pin their thread count to 1), so the
-        // two parallelism levels never oversubscribe.
+        // Attribute-level fan-out.
         let expanded: Vec<AttrExpansion> =
             if sctx.cfg.threads != 1 && batch.len() > 1 && worth_spawning {
                 batch
@@ -447,25 +340,21 @@ pub(crate) fn expand_state(
         batch = cursor.by_ref().take(1).collect();
     }
 
-    StateExpansion { parts, any_kept }
+    parts
 }
 
 /// Phase 2: absorb a state expansion into the shared pool and register
 /// every child (greedy benchmark + ranked candidates, in processed order),
-/// returning the kept extensions. Runs strictly in poll order — this is
-/// where ids, trace nodes and pool contents are assigned, so consuming
-/// expansions in serial order makes speculation invisible.
-///
-/// An empty result means every expanded attribute is map-suited; the
-/// caller finalizes (that fallback draws from the driver RNG, which is the
-/// caller's to manage during speculative replay).
-pub(crate) fn consume_state_expansion(
+/// returning the kept extensions. This is where ids, trace nodes and pool
+/// contents are assigned, so it runs on the driver in processed order.
+/// An empty result means every expanded attribute is map-suited.
+fn consume_state_expansion(
     ctx: &mut Ctx<'_>,
     state: &SearchState,
-    exp: StateExpansion,
+    parts: Vec<AttrExpansion>,
 ) -> Vec<SearchState> {
     let mut ext: Vec<SearchState> = Vec::new();
-    for part in exp.parts {
+    for part in parts {
         let remap = ctx.instance.pool.absorb(part.base_len, &part.new_strings);
         // Register the greedy benchmark child (id + trace parity with
         // the historical sequential engine; never kept).
@@ -492,7 +381,6 @@ pub(crate) fn consume_state_expansion(
         }
         // Map-marking is implicit: attrs with no kept candidate stay ∗.
     }
-    debug_assert_eq!(exp.any_kept, !ext.is_empty());
     ext
 }
 

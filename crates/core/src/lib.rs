@@ -37,7 +37,6 @@ pub mod apply;
 pub mod config;
 pub mod cost;
 pub mod delta;
-pub mod expansion;
 pub mod explanation;
 pub mod extend;
 pub mod finalize;
@@ -56,10 +55,6 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{resolve_parallelism, AffidavitConfig, InitStrategy};
-pub use expansion::{
-    expand_portable, ExpansionExecutor, ExpansionRequest, PortableAttrExpansion, PortableChild,
-    PortableExpansion,
-};
 pub use explanation::Explanation;
 pub use instance::ProblemInstance;
 pub use search::{Affidavit, DeadlineExceeded, SearchOutcome};

@@ -34,7 +34,7 @@ use crate::search::Affidavit;
 
 /// Options for a profiling run. The default uses the paper's robust
 /// `H^id` configuration with no schema repair.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileOptions {
     /// Search configuration used for every table.
     pub config: AffidavitConfig,
@@ -46,33 +46,6 @@ pub struct ProfileOptions {
     pub ingest: IngestOptions,
     /// Pool backend for each table pair (RAM or disk-spilled segments).
     pub pool: PoolConfig,
-    /// Expansion-stealing executor attached to every table's search
-    /// (`None` — the default — expands on the local thread pool only).
-    pub executor: Option<std::sync::Arc<dyn crate::expansion::ExpansionExecutor>>,
-}
-
-impl std::fmt::Debug for ProfileOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfileOptions")
-            .field("config", &self.config)
-            .field("align", &self.align)
-            .field("ingest", &self.ingest)
-            .field("pool", &self.pool)
-            .field("executor", &self.executor.is_some())
-            .finish()
-    }
-}
-
-impl ProfileOptions {
-    /// The per-table solver these options configure: the search config
-    /// plus the expansion executor, if one is attached.
-    fn solver(&self) -> Affidavit {
-        let solver = Affidavit::new(self.config.clone());
-        match &self.executor {
-            Some(executor) => solver.with_expansion_executor(executor.clone()),
-            None => solver,
-        }
-    }
 }
 
 /// The per-table result of a profiling run.
@@ -150,7 +123,7 @@ impl SnapshotProfile {
     /// Zero every wall-clock field (`millis`) so two profiles of the same
     /// snapshots can be compared byte for byte. Search timings are the only
     /// nondeterministic part of a profile; everything else is invariant
-    /// under thread count, speculative width, worker count and — for
+    /// under thread count, worker count and — for
     /// distributed runs — the broker transport carrying the jobs
     /// (spool directory or TCP).
     pub fn strip_timing(&mut self) {
@@ -242,7 +215,7 @@ pub fn profile_tables(
 ) -> Result<(Explanation, ProblemInstance, u64), String> {
     let mut instance = stage_tables(source, target, pool, opts)?;
     let started = std::time::Instant::now();
-    let outcome = opts.solver().explain(&mut instance);
+    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
     let millis = started.elapsed().as_millis() as u64;
     Ok((outcome.explanation, instance, millis))
 }
@@ -394,7 +367,7 @@ fn profile_file_pair(src_path: &Path, tgt_path: &Path, opts: &ProfileOptions) ->
         Err(reason) => return TableOutcome::Failed { reason },
     };
     let started = std::time::Instant::now();
-    let outcome = opts.solver().explain(&mut instance);
+    let outcome = Affidavit::new(opts.config.clone()).explain(&mut instance);
     let millis = started.elapsed().as_millis() as u64;
     outcome_for(&outcome.explanation, &instance, millis)
 }

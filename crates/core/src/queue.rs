@@ -11,14 +11,6 @@
 
 use crate::state::SearchState;
 
-/// Undo log of one [`BoundedLevelQueue::poll_batch`]: the `(level, index)`
-/// of each removal in poll order, enough for
-/// [`BoundedLevelQueue::restore`] to rebuild the exact pre-batch layout.
-#[derive(Debug)]
-pub struct BatchReceipt {
-    removals: Vec<(usize, usize)>,
-}
-
 /// Level-bounded priority queue.
 #[derive(Debug, Default)]
 pub struct BoundedLevelQueue {
@@ -122,67 +114,6 @@ impl BoundedLevelQueue {
         let (level, idx) = self.poll_position()?;
         self.len -= 1;
         Some(self.levels[level].swap_remove(idx))
-    }
-
-    /// Drain up to `max` states in exact successive-[`poll`] order — the
-    /// speculation batch of the K-way frontier expansion. The returned
-    /// [`BatchReceipt`] lets [`restore`] undo the drain precisely: the
-    /// eviction tie-break of [`push`] depends on bucket-internal order, so
-    /// putting unconsumed speculated states back must reproduce the exact
-    /// pre-poll bucket contents, not merely the same state set.
-    ///
-    /// [`poll`]: BoundedLevelQueue::poll
-    /// [`push`]: BoundedLevelQueue::push
-    /// [`restore`]: BoundedLevelQueue::restore
-    pub fn poll_batch(&mut self, max: usize) -> (Vec<SearchState>, BatchReceipt) {
-        let mut states = Vec::new();
-        let mut removals = Vec::new();
-        while states.len() < max {
-            let Some((level, idx)) = self.poll_position() else {
-                break;
-            };
-            self.len -= 1;
-            removals.push((level, idx));
-            states.push(self.levels[level].swap_remove(idx));
-        }
-        (states, BatchReceipt { removals })
-    }
-
-    /// Put the states of a [`poll_batch`] back, restoring the queue to its
-    /// exact pre-batch contents (bucket order included). Must be called
-    /// with the batch's own states and receipt, before any interleaved
-    /// `push`/`poll` — the receipt's positions are only meaningful against
-    /// the post-drain layout it was recorded from.
-    ///
-    /// [`poll_batch`]: BoundedLevelQueue::poll_batch
-    pub fn restore(&mut self, states: Vec<SearchState>, receipt: BatchReceipt) {
-        assert_eq!(
-            states.len(),
-            receipt.removals.len(),
-            "restore needs exactly the states its receipt recorded"
-        );
-        // Undo the swap_removes in reverse order: the displaced element (if
-        // any) was the bucket's last, so it goes back to the end.
-        for (state, (level, idx)) in states.into_iter().zip(receipt.removals).rev() {
-            let bucket = &mut self.levels[level];
-            if idx == bucket.len() {
-                bucket.push(state);
-            } else {
-                let displaced = std::mem::replace(&mut bucket[idx], state);
-                bucket.push(displaced);
-            }
-            self.len += 1;
-        }
-    }
-
-    /// The state the next [`poll`] would return, without removing it —
-    /// lets the driver size up the head of the frontier (e.g. the
-    /// speculation fan-out gate) without touching the queue.
-    ///
-    /// [`poll`]: BoundedLevelQueue::poll
-    pub fn peek(&self) -> Option<&SearchState> {
-        self.poll_position()
-            .map(|(level, idx)| &self.levels[level][idx])
     }
 
     /// Peek at the cheapest cost without removing.
@@ -315,128 +246,5 @@ mod tests {
         );
         assert_eq!(q.len(), 1);
         assert_eq!(q.poll().unwrap().id, 3);
-    }
-
-    /// Bucket layout fingerprint: state ids per level, in bucket order.
-    fn layout(q: &BoundedLevelQueue) -> Vec<Vec<usize>> {
-        q.levels
-            .iter()
-            .map(|bucket| bucket.iter().map(|s| s.id).collect())
-            .collect()
-    }
-
-    #[test]
-    fn poll_batch_matches_successive_polls() {
-        let fill = |q: &mut BoundedLevelQueue| {
-            for (id, level, cost) in [
-                (1, 1, 9.0),
-                (2, 1, 3.0),
-                (3, 2, 3.0), // ties id 2 on cost; higher level wins
-                (4, 2, 7.0),
-                (5, 3, 1.0),
-                (6, 1, 4.0),
-            ] {
-                q.push(state(id, level, cost));
-            }
-        };
-        let mut a = BoundedLevelQueue::new(5);
-        let mut b = BoundedLevelQueue::new(5);
-        fill(&mut a);
-        fill(&mut b);
-        let (batch, _) = a.poll_batch(4);
-        let batch_ids: Vec<usize> = batch.iter().map(|s| s.id).collect();
-        let serial_ids: Vec<usize> = (0..4).map(|_| b.poll().unwrap().id).collect();
-        assert_eq!(batch_ids, serial_ids);
-        // Global cost order with the more-assignments tie-break: cost 1
-        // first, then the 3.0 tie resolved towards level 2.
-        assert_eq!(batch_ids, vec![5, 3, 2, 6]);
-        // The remainder still polls identically.
-        assert_eq!(a.poll().unwrap().id, b.poll().unwrap().id);
-    }
-
-    #[test]
-    fn peek_matches_poll_without_removing() {
-        let mut q = BoundedLevelQueue::new(5);
-        assert!(q.peek().is_none());
-        q.push(state(1, 1, 9.0));
-        q.push(state(2, 2, 3.0));
-        assert_eq!(q.peek().unwrap().id, 2);
-        assert_eq!(q.len(), 2, "peek must not remove");
-        assert_eq!(q.poll().unwrap().id, 2);
-        assert_eq!(q.peek().unwrap().id, 1);
-    }
-
-    #[test]
-    fn poll_batch_stops_at_queue_len() {
-        let mut q = BoundedLevelQueue::new(3);
-        q.push(state(1, 1, 2.0));
-        q.push(state(2, 2, 1.0));
-        let (batch, _) = q.poll_batch(10);
-        assert_eq!(batch.len(), 2);
-        assert!(q.is_empty());
-        assert!(q.poll().is_none());
-    }
-
-    #[test]
-    fn poll_batch_sees_only_states_retained_by_level_bounds() {
-        // Level capacities govern what the batch can contain: overflowing
-        // pushes were rejected/evicted, so the drained sequence reflects
-        // the bounded frontier, not everything ever pushed.
-        let mut q = BoundedLevelQueue::new(1); // level 1 capacity = 1
-        q.push(state(1, 1, 5.0));
-        q.push(state(2, 1, 9.0)); // rejected: worse than the resident
-        q.push(state(3, 1, 4.0)); // evicts id 1
-        let (batch, _) = q.poll_batch(8);
-        let ids: Vec<usize> = batch.iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![3]);
-    }
-
-    #[test]
-    fn restore_rebuilds_exact_pre_poll_contents() {
-        let mut q = BoundedLevelQueue::new(5);
-        for (id, level, cost) in [
-            (1, 1, 9.0),
-            (2, 1, 3.0),
-            (3, 1, 6.0),
-            (4, 2, 7.0),
-            (5, 2, 2.0),
-            (6, 3, 1.0),
-        ] {
-            q.push(state(id, level, cost));
-        }
-        let before = layout(&q);
-        let (batch, receipt) = q.poll_batch(4);
-        assert_eq!(q.len(), 2);
-        q.restore(batch, receipt);
-        assert_eq!(q.len(), 6);
-        assert_eq!(
-            layout(&q),
-            before,
-            "restore must rebuild exact bucket order, not just the state set"
-        );
-        // Polling after a restore behaves as if the batch never happened.
-        assert_eq!(q.poll().unwrap().id, 6);
-        assert_eq!(q.poll().unwrap().id, 5);
-    }
-
-    #[test]
-    fn restore_preserves_eviction_behavior() {
-        // The eviction tie-break (`max_by` keeps the *last* worst) reads
-        // bucket order, so a sloppy restore would change which equal-cost
-        // resident a later push replaces.
-        let build = || {
-            let mut q = BoundedLevelQueue::new(1); // level 1 capacity = 1... cap(1)=1
-            q.push(state(1, 1, 5.0));
-            q
-        };
-        let mut touched = build();
-        let (batch, receipt) = touched.poll_batch(1);
-        touched.restore(batch, receipt);
-        let mut untouched = build();
-        for q in [&mut touched, &mut untouched] {
-            assert!(q.push(state(9, 1, 5.0)), "equal cost is accepted");
-        }
-        assert_eq!(layout(&touched), layout(&untouched));
-        assert_eq!(touched.poll().unwrap().id, untouched.poll().unwrap().id);
     }
 }

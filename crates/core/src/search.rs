@@ -3,20 +3,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use affidavit_blocking::{overlap_start_attrs, sample_random_alignment, Blocking, OverlapConfig};
+use affidavit_blocking::{overlap_start_attrs, Blocking, OverlapConfig};
 use affidavit_functions::{ApplyScratch, AttrFunction};
 use affidavit_table::{AttrId, FxHashSet, ScratchPool, Table, ValuePool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::config::{AffidavitConfig, InitStrategy};
 use crate::cost::state_cost;
-use crate::expansion::{ExpansionExecutor, ExpansionRequest};
 use crate::explanation::Explanation;
-use crate::extend::{
-    consume_state_expansion, expand_state, extensions, make_child, StateExpansion,
-};
+use crate::extend::{extensions, make_child};
 use crate::finalize::finalize;
 use crate::instance::ProblemInstance;
 use crate::queue::BoundedLevelQueue;
@@ -42,15 +38,6 @@ pub struct SearchStats {
     /// Wall-clock time spent in the `Extensions(H)` candidate-generation
     /// phase (the part that fans out across worker threads).
     pub extension_time: Duration,
-    /// Expansions computed speculatively, ahead of their poll turn
-    /// (`speculative_width > 1` only). Unlike `polled`/`expansions`, this
-    /// may vary with the width — it counts work performed, not the
-    /// (invariant) reconciled search sequence.
-    pub speculative_expansions: usize,
-    /// Speculative expansions discarded because reconciliation invalidated
-    /// them (an earlier sibling ended the search, evicted them, overtook
-    /// them with a cheaper child, or fell back to ⊞ finalization).
-    pub speculation_discarded: usize,
 }
 
 impl SearchStats {
@@ -62,14 +49,6 @@ impl SearchStats {
         m.set_counter("search_polled", self.polled as u64);
         m.set_counter("search_expansions", self.expansions as u64);
         m.set_counter("search_states_generated", self.states_generated as u64);
-        m.set_counter(
-            "search_speculative_expansions",
-            self.speculative_expansions as u64,
-        );
-        m.set_counter(
-            "search_speculation_discarded",
-            self.speculation_discarded as u64,
-        );
         m.set_gauge("search_end_state_cost", self.end_state_cost);
         m.set_gauge(
             "search_hit_expansion_limit",
@@ -290,61 +269,16 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Push freshly generated children into the frontier, de-duplicating on
-/// the assignment vector (end states bypass duplicate detection: their
-/// value maps make signatures heavy and they terminate the search quickly
-/// anyway). One serial body shared by the plain loop and the speculative
-/// reconciliation replay, so both push in the identical order.
-fn push_children(
-    ctx: &mut Ctx<'_>,
-    queue: &mut BoundedLevelQueue,
-    visited: &mut FxHashSet<Vec<Assignment>>,
-    children: Vec<SearchState>,
-) {
-    for child in children {
-        if child.is_end_state() || visited.insert(child.assignments.clone()) {
-            let kept = queue.push(child.clone());
-            if let Some(trace) = ctx.trace.as_mut() {
-                trace.mark_kept(child.id, kept);
-            }
-        }
-    }
-}
-
 /// The Affidavit search algorithm.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Affidavit {
     cfg: AffidavitConfig,
-    executor: Option<Arc<dyn ExpansionExecutor>>,
-}
-
-impl std::fmt::Debug for Affidavit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Affidavit")
-            .field("cfg", &self.cfg)
-            .field("executor", &self.executor.is_some())
-            .finish()
-    }
 }
 
 impl Affidavit {
     /// Create a solver with the given configuration.
     pub fn new(cfg: AffidavitConfig) -> Affidavit {
-        Affidavit {
-            cfg,
-            executor: None,
-        }
-    }
-
-    /// Attach a remote phase-1 executor (builder style): speculated
-    /// K-way batches are offered to `executor` — a worker fleet stealing
-    /// expansion jobs from a broker queue — before the local thread pool.
-    /// A declined batch (`None`) falls back to the local path, and the
-    /// serial-replay reconciliation consumes either source identically,
-    /// so results are byte-identical with or without an executor.
-    pub fn with_expansion_executor(mut self, executor: Arc<dyn ExpansionExecutor>) -> Affidavit {
-        self.executor = Some(executor);
-        self
+        Affidavit { cfg }
     }
 
     /// The configuration in use.
@@ -359,14 +293,12 @@ impl Affidavit {
     /// expansion limit fires, the best partial state is finalized with
     /// greedy maps.
     ///
-    /// With `cfg.threads != 1` the candidate-generation phase of every
-    /// expansion fans out across a persistent rayon pool; with
-    /// `cfg.speculative_width > 1` the best-first loop itself goes wide,
-    /// expanding up to K frontier states per iteration and reconciling
-    /// them in deterministic poll order. The result is byte-identical to
-    /// the sequential run at any thread count and any width (see
-    /// [`AffidavitConfig::paper_id`]'s `threads` / `speculative_width`
-    /// docs).
+    /// The best-first loop itself is serial: one state is polled and
+    /// expanded per iteration. With `cfg.threads != 1` the
+    /// candidate-generation phase of every expansion fans out across a
+    /// persistent rayon pool, one worker per attribute; the result is
+    /// byte-identical to the sequential run at any thread count (see
+    /// [`AffidavitConfig::threads`]).
     pub fn explain(&self, instance: &mut ProblemInstance) -> SearchOutcome {
         self.explain_until(instance, None)
             .expect("a deadline-free search cannot time out")
@@ -376,7 +308,7 @@ impl Affidavit {
     ///
     /// The driver checks the deadline between iterations (never inside
     /// a parallel phase), so an abort is cooperative and prompt at the
-    /// granularity of one expansion batch. `None` never fails.
+    /// granularity of one state expansion. `None` never fails.
     pub fn explain_until(
         &self,
         instance: &mut ProblemInstance,
@@ -413,9 +345,8 @@ impl Affidavit {
             queue.push(st);
         }
 
-        let width = self.cfg.speculative_width.max(1);
         let mut last_polled: Option<SearchState> = None;
-        let end_state = 'search: loop {
+        let end_state = loop {
             // Deadline checks sit between iterations only: an abort is
             // cooperative, and a run that finishes in time never
             // branches on the clock — output stays deadline-independent.
@@ -424,200 +355,6 @@ impl Affidavit {
                     return Err(DeadlineExceeded);
                 }
             }
-            // ---- Speculation phase (K-way frontier expansion). ----
-            //
-            // Drain the next up-to-K poll results, put them straight back
-            // (the queue must hold them during reconciliation so push
-            // evictions behave exactly as in the serial run), expand the
-            // batch concurrently against the frozen context, then replay
-            // serial polls, consuming each cached expansion only when its
-            // state really is the next poll.
-            //
-            // The fan-out gate mirrors `parallel_min_records` one level
-            // up: below `speculation_min_records` the head state's
-            // expansion is too cheap to amortize the discarded-sibling
-            // work, so the iteration takes the serial path — which is
-            // byte-identical anyway.
-            let speculation_pays = || {
-                queue.peek().is_some_and(|head| {
-                    head.blocking.live_sources() + head.blocking.total_targets()
-                        >= self.cfg.speculation_min_records
-                })
-            };
-            if width > 1 && queue.len() > 1 && speculation_pays() {
-                let (batch, receipt) = queue.poll_batch(width);
-                // Never expand past an end state: polling it ends the
-                // search, so later siblings' turns cannot come.
-                let cut = batch
-                    .iter()
-                    .position(|s| s.is_end_state())
-                    .unwrap_or(batch.len());
-                /// Pure phase-1 output for one speculated batch, indexed
-                /// in poll order; nothing in here has touched shared
-                /// search state yet.
-                struct SpeculationCache {
-                    spec_ids: Vec<usize>,
-                    expansions: Vec<StateExpansion>,
-                    rng_before: Vec<StdRng>,
-                    rng_after: Vec<StdRng>,
-                }
-                let mut speculated: Option<SpeculationCache> = None;
-                if cut > 1 {
-                    let spec = &batch[..cut];
-                    // Pre-draw each state's alignment in poll order, with
-                    // RNG snapshots bracketing every draw so reconciliation
-                    // can rewind to the exact serial RNG state on any
-                    // divergence.
-                    let mut rng_before: Vec<StdRng> = Vec::with_capacity(spec.len());
-                    let mut rng_after: Vec<StdRng> = Vec::with_capacity(spec.len());
-                    let mut alignments = Vec::with_capacity(spec.len());
-                    for st in spec {
-                        rng_before.push(ctx.rng.clone());
-                        alignments.push(sample_random_alignment(&st.blocking, &mut ctx.rng));
-                        rng_after.push(ctx.rng.clone());
-                    }
-
-                    // Phase 1: expand all speculated states concurrently,
-                    // borrowing them straight out of the drained batch —
-                    // only their ids are needed for reconciliation, so the
-                    // (potentially record-sized) states are never cloned.
-                    let started_ext = Instant::now();
-                    let expansions: Vec<StateExpansion> = {
-                        let _span = affidavit_obs::span("search.speculate");
-                        // Offer the batch to the remote executor first; a
-                        // declined (or malformed) batch falls back to the
-                        // local pool. Expansions are pure, so the two
-                        // sources are interchangeable byte-for-byte.
-                        let remote = self.executor.as_ref().and_then(|executor| {
-                            let requests: Vec<ExpansionRequest> = spec
-                                .iter()
-                                .zip(&alignments)
-                                .map(|(st, al)| ExpansionRequest {
-                                    state: st.clone(),
-                                    alignment: al.clone(),
-                                })
-                                .collect();
-                            executor
-                                .expand_batch(ctx.instance, &self.cfg, &requests)
-                                .filter(|r| r.len() == requests.len())
-                                .map(|r| {
-                                    r.into_iter()
-                                        .map(StateExpansion::from_portable)
-                                        .collect::<Vec<_>>()
-                                })
-                        });
-                        match remote {
-                            Some(expansions) => expansions,
-                            None => {
-                                let sctx = ctx.search_ctx();
-                                let expand = |i: usize| {
-                                    let t = Instant::now();
-                                    let exp = expand_state(&sctx, &spec[i], &alignments[i]);
-                                    affidavit_obs::metrics().observe(
-                                        "search_expansion_micros",
-                                        t.elapsed().as_micros() as f64,
-                                    );
-                                    exp
-                                };
-                                if self.cfg.threads != 1 {
-                                    (0..spec.len()).into_par_iter().map(expand).collect()
-                                } else {
-                                    (0..spec.len()).map(expand).collect()
-                                }
-                            }
-                        }
-                    };
-                    ctx.stats.extension_time += started_ext.elapsed();
-                    ctx.stats.speculative_expansions += expansions.len();
-                    let spec_ids: Vec<usize> = spec.iter().map(|s| s.id).collect();
-                    speculated = Some(SpeculationCache {
-                        spec_ids,
-                        expansions,
-                        rng_before,
-                        rng_after,
-                    });
-                }
-                // The queue must hold the speculated states during
-                // reconciliation so push evictions behave exactly as in
-                // the serial run.
-                queue.restore(batch, receipt);
-                if let Some(SpeculationCache {
-                    spec_ids,
-                    expansions,
-                    rng_before,
-                    rng_after,
-                }) = speculated
-                {
-                    let _span = affidavit_obs::span("search.reconcile");
-                    // Phase 2: reconciliation replay, in exact serial order.
-                    let mut expansions = expansions.into_iter();
-                    for i in 0..spec_ids.len() {
-                        let state = queue
-                            .poll()
-                            .expect("speculated states stay queued until their turn");
-                        ctx.stats.polled += 1;
-                        if let Some(trace) = ctx.trace.as_mut() {
-                            trace.mark_polled(state.id);
-                        }
-                        let expansion = expansions.next().expect("one expansion per state");
-                        if state.id != spec_ids[i] {
-                            // Miss: a child pushed during reconciliation
-                            // overtook (or evicted) the speculated sibling.
-                            // Rewind the RNG to the serial position and
-                            // process this poll cold; the rest of the cache
-                            // is void.
-                            ctx.rng = rng_before[i].clone();
-                            ctx.stats.speculation_discarded += spec_ids.len() - i;
-                            if state.is_end_state() {
-                                break 'search state;
-                            }
-                            ctx.stats.expansions += 1;
-                            if ctx.stats.expansions > self.cfg.max_expansions {
-                                ctx.stats.hit_expansion_limit = true;
-                                break 'search finalize(&mut ctx, &state);
-                            }
-                            let children = {
-                                let _span = affidavit_obs::span("search.expand");
-                                extensions(&mut ctx, &state)
-                            };
-                            last_polled = Some(state);
-                            push_children(&mut ctx, &mut queue, &mut visited, children);
-                            continue 'search;
-                        }
-                        // Hit: this state's serial turn arrived — consume
-                        // the cached expansion. (Speculated states are
-                        // never end states; the batch was cut before one.)
-                        ctx.stats.expansions += 1;
-                        if ctx.stats.expansions > self.cfg.max_expansions {
-                            ctx.stats.hit_expansion_limit = true;
-                            // The serial run finalizes before drawing this
-                            // state's alignment.
-                            ctx.rng = rng_before[i].clone();
-                            ctx.stats.speculation_discarded += spec_ids.len() - i;
-                            break 'search finalize(&mut ctx, &state);
-                        }
-                        let mut children = consume_state_expansion(&mut ctx, &state, expansion);
-                        let map_suited = children.is_empty();
-                        if map_suited {
-                            // ⊞ fallback: finalize draws further from the
-                            // driver RNG, so the pre-drawn alignments of
-                            // the later siblings no longer match the
-                            // serial stream — discard them.
-                            ctx.rng = rng_after[i].clone();
-                            children = vec![finalize(&mut ctx, &state)];
-                        }
-                        last_polled = Some(state);
-                        push_children(&mut ctx, &mut queue, &mut visited, children);
-                        if map_suited {
-                            ctx.stats.speculation_discarded += spec_ids.len() - i - 1;
-                            continue 'search;
-                        }
-                    }
-                    continue 'search;
-                }
-            }
-
-            // ---- Serial iteration (speculation off or frontier ≤ 1). ----
             let Some(state) = queue.poll() else {
                 // Queue drained without reaching an end state (all children
                 // were duplicates or evicted): finalize the last polled
@@ -645,7 +382,17 @@ impl Affidavit {
                 extensions(&mut ctx, &state)
             };
             last_polled = Some(state);
-            push_children(&mut ctx, &mut queue, &mut visited, children);
+            // De-duplicate on the assignment vector (end states bypass
+            // duplicate detection: their value maps make signatures heavy
+            // and they terminate the search quickly anyway).
+            for child in children {
+                if child.is_end_state() || visited.insert(child.assignments.clone()) {
+                    let kept = queue.push(child.clone());
+                    if let Some(trace) = ctx.trace.as_mut() {
+                        trace.mark_kept(child.id, kept);
+                    }
+                }
+            }
         };
 
         ctx.stats.end_state_cost = end_state.cost;
@@ -808,167 +555,6 @@ mod tests {
         let out = Affidavit::new(AffidavitConfig::paper_id()).explain(&mut inst);
         out.explanation.validate(&mut inst).unwrap();
         assert_eq!(out.explanation.inserted.len(), 1);
-    }
-
-    #[test]
-    fn speculative_widths_are_byte_identical() {
-        // The reconciliation invariant at driver level: polled/expansion
-        // counters, the full trace and the explanation match the serial
-        // engine at every (width, threads) combination.
-        let fingerprint = |width: usize, threads: usize| {
-            let mut inst = noisy_instance();
-            let mut cfg = AffidavitConfig::paper_id()
-                .with_trace()
-                .with_threads(threads)
-                .with_speculative_width(width);
-            cfg.parallel_min_records = 0; // force the fan-out paths
-            cfg.speculation_min_records = 0; // tiny instance: open the gate
-            let out = Affidavit::new(cfg).explain(&mut inst);
-            (
-                format!("{:?}", out.explanation.functions),
-                out.explanation.core_size(),
-                out.stats.polled,
-                out.stats.expansions,
-                out.stats.states_generated,
-                out.stats.end_state_cost.to_bits(),
-                out.trace.expect("trace enabled").render(),
-            )
-        };
-        let base = fingerprint(1, 1);
-        for (width, threads) in [(2, 1), (4, 1), (8, 1), (0, 1), (4, 2), (8, 4)] {
-            assert_eq!(
-                base,
-                fingerprint(width, threads),
-                "width {width} threads {threads} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn speculation_reports_its_extra_work() {
-        let mut inst = noisy_instance();
-        let cfg = AffidavitConfig::paper_id()
-            .with_speculative_width(4)
-            .with_speculation_min_records(0);
-        let out = Affidavit::new(cfg).explain(&mut inst);
-        assert!(
-            out.stats.speculative_expansions > 0,
-            "a width-4 run on a multi-state frontier must speculate"
-        );
-        assert!(out.stats.speculation_discarded <= out.stats.speculative_expansions);
-    }
-
-    #[test]
-    fn fanout_gate_suppresses_speculation_below_the_floor() {
-        // The default `speculation_min_records` (4096) dwarfs this ~66
-        // record instance: a width-4 run must take the serial path on
-        // every iteration — no speculative work, identical output.
-        let run = |width: usize| {
-            let mut inst = noisy_instance();
-            let out = Affidavit::new(AffidavitConfig::paper_id().with_speculative_width(width))
-                .explain(&mut inst);
-            (
-                format!("{:?}", out.explanation.functions),
-                out.stats.polled,
-                out.stats.expansions,
-                out.stats.states_generated,
-                out.stats.speculative_expansions,
-            )
-        };
-        let serial = run(1);
-        let gated = run(4);
-        assert_eq!(gated.4, 0, "a gated run performs zero speculative work");
-        assert_eq!(serial, gated);
-    }
-
-    #[test]
-    fn expansion_executor_results_are_absorbed_byte_identically() {
-        use crate::expansion::{expand_portable, ExpansionRequest, PortableExpansion};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        /// An executor that recomputes every request from first
-        /// principles via `expand_portable` — exactly what a worker
-        /// process does after decoding the wire job.
-        struct Recompute {
-            batches: AtomicUsize,
-        }
-        impl ExpansionExecutor for Recompute {
-            fn expand_batch(
-                &self,
-                instance: &ProblemInstance,
-                cfg: &AffidavitConfig,
-                batch: &[ExpansionRequest],
-            ) -> Option<Vec<PortableExpansion>> {
-                self.batches.fetch_add(1, Ordering::SeqCst);
-                Some(
-                    batch
-                        .iter()
-                        .map(|req| expand_portable(instance, cfg, req))
-                        .collect(),
-                )
-            }
-        }
-
-        let fingerprint = |executor: Option<Arc<Recompute>>| {
-            let mut inst = noisy_instance();
-            let cfg = AffidavitConfig::paper_id()
-                .with_trace()
-                .with_speculative_width(4)
-                .with_speculation_min_records(0);
-            let mut solver = Affidavit::new(cfg);
-            if let Some(ex) = executor {
-                solver = solver.with_expansion_executor(ex);
-            }
-            let out = solver.explain(&mut inst);
-            (
-                format!("{:?}", out.explanation.functions),
-                out.explanation.core_size(),
-                out.stats.polled,
-                out.stats.expansions,
-                out.stats.states_generated,
-                out.stats.end_state_cost.to_bits(),
-                out.trace.expect("trace enabled").render(),
-            )
-        };
-        let local = fingerprint(None);
-        let executor = Arc::new(Recompute {
-            batches: AtomicUsize::new(0),
-        });
-        let remote = fingerprint(Some(executor.clone()));
-        assert!(
-            executor.batches.load(Ordering::SeqCst) > 0,
-            "the executor must have been offered at least one batch"
-        );
-        assert_eq!(local, remote);
-    }
-
-    #[test]
-    fn a_declining_executor_falls_back_to_the_local_path() {
-        struct Decline;
-        impl ExpansionExecutor for Decline {
-            fn expand_batch(
-                &self,
-                _instance: &ProblemInstance,
-                _cfg: &AffidavitConfig,
-                _batch: &[ExpansionRequest],
-            ) -> Option<Vec<crate::expansion::PortableExpansion>> {
-                None
-            }
-        }
-        let mut inst = noisy_instance();
-        let cfg = AffidavitConfig::paper_id()
-            .with_speculative_width(4)
-            .with_speculation_min_records(0);
-        let out = Affidavit::new(cfg.clone())
-            .with_expansion_executor(Arc::new(Decline))
-            .explain(&mut inst);
-        let mut inst2 = noisy_instance();
-        let base = Affidavit::new(cfg).explain(&mut inst2);
-        assert_eq!(
-            format!("{:?}", out.explanation.functions),
-            format!("{:?}", base.explanation.functions)
-        );
-        assert_eq!(out.stats.polled, base.stats.polled);
     }
 
     #[test]

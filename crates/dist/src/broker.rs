@@ -113,14 +113,6 @@ impl FsTransport {
         self.results().join(format!("result-{id:08}.json"))
     }
 
-    /// The tombstone [`Transport::forget`] leaves for a retired id.
-    /// Checked by `claim`, `deliver` and `requeue_expired`, so a job that
-    /// was in flight — or republished — when its id was forgotten is
-    /// dropped instead of computed or stored.
-    fn retired_marker(&self, id: u64) -> PathBuf {
-        self.results().join(format!("retired-{id:08}.marker"))
-    }
-
     fn write_atomic(
         &self,
         dir: &Path,
@@ -223,12 +215,6 @@ impl Transport for FsTransport {
                 continue;
             };
             let pending = self.jobs().join(&name);
-            if self.retired_marker(id).exists() {
-                // Withdrawn work: drop the publication instead of
-                // handing it out.
-                std::fs::remove_file(&pending).ok();
-                continue;
-            }
             let stem = name.strip_suffix(".json").unwrap_or(&name);
             let claim = self.claimed().join(format!("{stem}.{worker}.json"));
             // Atomic claim: exactly one worker wins this rename.
@@ -270,11 +256,6 @@ impl Transport for FsTransport {
     }
 
     fn deliver(&self, worker: &str, id: u64, envelope: &str) -> Result<Delivered, String> {
-        if self.retired_marker(id).exists() {
-            // A late delivery for withdrawn work: accept-and-drop, so
-            // the worker moves on and the spool stores nothing.
-            return Ok(Delivered::Accepted);
-        }
         let final_path = self.result_path(id);
         let read_existing = || {
             std::fs::read_to_string(&final_path)
@@ -345,34 +326,6 @@ impl Transport for FsTransport {
         }
     }
 
-    fn forget(&self, id: u64) -> Result<(), String> {
-        // Tombstone first: once the marker exists, claim/deliver/requeue
-        // all drop the id, which closes the race against a concurrent
-        // republish or late delivery landing between our deletions.
-        self.write_atomic(
-            &self.results(),
-            &format!("retired-{id:08}.marker"),
-            &format!("retired-{id}"),
-            "",
-        )?;
-        let prefix = format!("job-{id:08}.");
-        for name in Self::sorted_entries(&self.jobs())? {
-            if name.starts_with(&prefix) {
-                std::fs::remove_file(self.jobs().join(&name)).ok();
-            }
-        }
-        std::fs::remove_file(self.result_path(id)).ok();
-        // Claim files stay — `counters` derives the steals count from
-        // them — but their payloads (a full job envelope each) are
-        // truncated so a retired id holds no bytes in the spool.
-        for name in Self::sorted_entries(&self.claimed())? {
-            if name.starts_with(&prefix) {
-                let _ = std::fs::write(self.claimed().join(&name), "");
-            }
-        }
-        Ok(())
-    }
-
     fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
         let now = SystemTime::now();
         let names = Self::sorted_entries(&self.claimed())?;
@@ -390,7 +343,7 @@ impl Transport for FsTransport {
             let Some(id) = parse_job_id(name) else {
                 continue;
             };
-            if self.result_path(id).exists() || self.retired_marker(id).exists() {
+            if self.result_path(id).exists() {
                 continue;
             }
             let path = self.claimed().join(name);
@@ -584,7 +537,7 @@ mod tests {
                     source: vec![vec![0]],
                     target: vec![vec![0]],
                 },
-                config: affidavit_core::AffidavitConfig::paper_id(),
+                config: crate::wire::WireConfig(affidavit_core::AffidavitConfig::paper_id()),
             },
         }
     }
@@ -661,32 +614,6 @@ mod tests {
         broker
             .complete("fast", &dummy_result(9, "fast", "done"))
             .unwrap();
-        assert_eq!(broker.recover_stragglers(Duration::ZERO).unwrap(), 0);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn forget_cleans_the_spool_and_drops_late_deliveries() {
-        let root = temp_root("forget");
-        let broker = FsBroker::open(&root).unwrap();
-        broker.submit(&dummy_job(2)).unwrap();
-        broker.submit(&dummy_job(3)).unwrap();
-        let _ = broker.steal("w").unwrap().unwrap(); // claims job 2
-        broker.complete("w", &dummy_result(2, "w", "done")).unwrap();
-        assert!(broker.fetch_result(2).unwrap().is_some());
-        broker.forget(2).unwrap();
-        // The result file is gone and the claim file is an empty stub —
-        // but the steal counter it backs survives.
-        assert!(broker.fetch_result(2).unwrap().is_none());
-        assert_eq!(broker.stats().unwrap().steals, 1);
-        // A straggler delivering the forgotten job is accept-and-dropped.
-        broker.complete("x", &dummy_result(2, "x", "late")).unwrap();
-        assert!(broker.fetch_result(2).unwrap().is_none());
-        assert!(broker.check_health().is_ok());
-        // Forgetting a pending (unclaimed) job withdraws it entirely.
-        broker.forget(3).unwrap();
-        assert!(broker.steal("w").unwrap().is_none());
-        // And a requeue pass never republishes a retired claim.
         assert_eq!(broker.recover_stragglers(Duration::ZERO).unwrap(), 0);
         std::fs::remove_dir_all(&root).ok();
     }

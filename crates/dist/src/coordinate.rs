@@ -25,7 +25,7 @@ use crate::job::{Job, JobOutcome, JobPayload, JobResult};
 use crate::queue::{InProcessQueue, JobQueue, QueueStats};
 use crate::tcp::TcpBroker;
 use crate::transport::{Broker, Transport};
-use crate::wire::WireInstance;
+use crate::wire::{WireConfig, WireInstance};
 use crate::worker::run_worker;
 
 /// Where the workers live, and which transport carries the protocol.
@@ -390,9 +390,6 @@ pub fn absorb_result(
     let (new_strings, functions, core, deleted, inserted, polled, expansions, millis) =
         match &result.outcome {
             JobOutcome::Failed { reason } => return Err(reason.clone()),
-            JobOutcome::Expanded { .. } => {
-                return Err("expected an explanation result, got an expansion batch".to_owned())
-            }
             JobOutcome::Explained {
                 new_strings,
                 functions,
@@ -474,7 +471,7 @@ pub fn explain_via(
         name: "explain".to_owned(),
         payload: JobPayload::Explain {
             instance: WireInstance::from_instance(instance),
-            config: config.clone(),
+            config: WireConfig(config.clone()),
         },
     };
     queue.submit(&job)?;
@@ -549,7 +546,7 @@ pub fn profile_dirs_distributed(
                     name: pair.name.clone(),
                     payload: JobPayload::Explain {
                         instance: wire,
-                        config: popts.config.clone(),
+                        config: WireConfig(popts.config.clone()),
                     },
                 });
                 Slot::Staged(instance, base_len)

@@ -7,36 +7,18 @@
 //! worker finished first, which is one half of the distributed
 //! determinism story. The other half is that [`process_job`] is a pure
 //! function of the job bytes — the engine underneath is byte-identical at
-//! every thread count and speculative width — so a job that is stolen
+//! every thread count — so a job that is stolen
 //! twice, retried after a straggler timeout, or replayed by a second
 //! worker produces the *same* result, and duplicates degrade to wasted
 //! work, never to nondeterminism.
 
 use std::time::Instant;
 
-use affidavit_core::{expand_portable, Affidavit, AffidavitConfig};
+use affidavit_core::{Affidavit, AffidavitConfig};
 use affidavit_table::Sym;
 use serde::{Deserialize, Serialize};
 
-use crate::wire::{
-    seal, unseal, WireExpansion, WireExpansionResult, WireFunction, WireInstance, WireInstanceSpec,
-};
-
-/// Reason prefix of the [`JobOutcome::Failed`] a worker returns when an
-/// expansion job references an instance digest it does not hold (fresh
-/// attach, restart, cache eviction). The coordinator recognizes the
-/// prefix and re-ships that chunk inline under a fresh job id; every
-/// other `Failed` reason declines the batch.
-pub const INSTANCE_MISS_PREFIX: &str = "instance-cache-miss: ";
-
-/// Whether a result is a worker-side instance-cache miss — expected
-/// whenever a cold worker steals a digest-only job, and resolved by the
-/// coordinator re-shipping inline. Duplicate comparison must treat these
-/// as always-discardable: a cold and a warm worker racing on a requeued
-/// id legitimately produce different bytes.
-pub fn is_instance_miss(result: &JobResult) -> bool {
-    matches!(&result.outcome, JobOutcome::Failed { reason } if reason.starts_with(INSTANCE_MISS_PREFIX))
-}
+use crate::wire::{seal, unseal, WireConfig, WireFunction, WireInstance};
 
 /// One stealable unit of work.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,7 +32,8 @@ pub struct Job {
     pub payload: JobPayload,
 }
 
-/// The work a job carries.
+/// The work a job carries. `explain` is the only task; any other `task`
+/// tag fails to decode.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(tag = "task", rename_all = "snake_case")]
 pub enum JobPayload {
@@ -58,25 +41,10 @@ pub enum JobPayload {
     Explain {
         /// The serialized problem instance.
         instance: WireInstance,
-        /// The search configuration (seed, β, ϱ, threads, speculative
-        /// width, …) — the worker honours it exactly, so its in-process
-        /// parallelism and frontier speculation are configured from the
-        /// coordinator.
-        config: AffidavitConfig,
-    },
-    /// Compute a batch of speculated frontier expansions (the phase-1
-    /// half of the speculation engine) over a serialized instance. The
-    /// instance is the coordinator's pool prefix at speculation time;
-    /// every request in the batch is expanded against it independently.
-    Expansion {
-        /// The problem instance — inline with a content digest on first
-        /// sight, by digest plus pool delta afterwards.
-        instance: WireInstanceSpec,
-        /// The search configuration — expansion is byte-identical at
-        /// every thread count, so this only tunes worker-side scheduling.
-        config: AffidavitConfig,
-        /// The leased batch of expansion requests, in driver batch order.
-        batch: Vec<WireExpansion>,
+        /// The search configuration (seed, β, ϱ, threads, …) — the
+        /// worker honours it exactly, so its in-process parallelism is
+        /// configured from the coordinator.
+        config: WireConfig,
     },
 }
 
@@ -123,18 +91,6 @@ pub enum JobOutcome {
         /// nondeterministic field; strip it before byte comparisons).
         millis: u64,
     },
-    /// A batch of frontier expansions finished. Each result is the pure
-    /// [`expand_portable`] value for the
-    /// matching request — byte-identical to what the coordinator's own
-    /// phase 1 would have computed, so duplicates and stragglers degrade
-    /// to wasted work, never to nondeterminism.
-    Expanded {
-        /// One expansion per request, in request order.
-        expansions: Vec<WireExpansionResult>,
-        /// Worker-side wall time in milliseconds (the only
-        /// nondeterministic field; strip it before byte comparisons).
-        millis: u64,
-    },
     /// The job could not be executed (malformed instance, version skew…).
     Failed {
         /// Human-readable reason.
@@ -162,68 +118,12 @@ pub fn decode_result(text: &str) -> Result<JobResult, String> {
     JobResult::from_value(&unseal(text, "result")?).map_err(|e| e.to_string())
 }
 
-/// A worker's bounded store of content-addressed instances, so a fleet's
-/// digest-only expansion jobs decode without the instance crossing the
-/// transport again. One per worker loop; [`JobPayload::Expansion`] jobs
-/// shipped inline warm it. Eviction is least-recently-used with a small
-/// cap — a worker serves one coordinator, which itself tracks at most a
-/// handful of live bases.
-#[derive(Debug, Default)]
-pub struct InstanceCache {
-    /// `(digest, instance)`, least recently used first.
-    entries: Vec<(String, WireInstance)>,
-}
-
-impl InstanceCache {
-    /// How many bases a worker retains. Matches the coordinator side
-    /// ([`ExpansionFleet`](crate::expansion::ExpansionFleet) tracks the
-    /// same number of shipped bases), so a worker serving one fleet
-    /// never misses on a digest the fleet still considers live.
-    pub const CAPACITY: usize = 8;
-
-    /// The cached base for `digest`, freshening its LRU position.
-    pub fn get(&mut self, digest: &str) -> Option<&WireInstance> {
-        let pos = self.entries.iter().position(|(d, _)| d == digest)?;
-        let entry = self.entries.remove(pos);
-        self.entries.push(entry);
-        Some(&self.entries.last().expect("just pushed").1)
-    }
-
-    /// Store (or freshen) a base under its digest.
-    pub fn put(&mut self, digest: &str, instance: &WireInstance) {
-        if let Some(pos) = self.entries.iter().position(|(d, _)| d == digest) {
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry);
-            return;
-        }
-        if self.entries.len() >= Self::CAPACITY {
-            self.entries.remove(0);
-        }
-        self.entries.push((digest.to_owned(), instance.clone()));
-    }
-}
-
 /// Execute a job. Never panics on malformed input — decode errors come
 /// back as [`JobOutcome::Failed`] so the coordinator does not hang waiting
-/// for a result that will never arrive. A fresh [`InstanceCache`] is used,
-/// so digest-only expansion jobs fail with [`INSTANCE_MISS_PREFIX`]; the
-/// worker loop threads a persistent cache through
-/// [`process_job_with_cache`].
+/// for a result that will never arrive.
 pub fn process_job(job: &Job, worker: &str) -> JobResult {
-    process_job_with_cache(job, worker, &mut InstanceCache::default())
-}
-
-/// [`process_job`] with a caller-owned instance cache (the worker loop's,
-/// surviving across jobs).
-pub fn process_job_with_cache(job: &Job, worker: &str, cache: &mut InstanceCache) -> JobResult {
-    let outcome = match &job.payload {
-        JobPayload::Explain { instance, config } => run_explain(instance, config),
-        JobPayload::Expansion {
-            instance,
-            config,
-            batch,
-        } => run_expansion(instance, config, batch, cache),
-    };
+    let JobPayload::Explain { instance, config } = &job.payload;
+    let outcome = run_explain(instance, &config.0);
     JobResult {
         id: job.id,
         name: job.name.clone(),
@@ -256,58 +156,6 @@ fn run_explain(wire: &WireInstance, config: &AffidavitConfig) -> JobOutcome {
     }
 }
 
-fn run_expansion(
-    spec: &WireInstanceSpec,
-    config: &AffidavitConfig,
-    batch: &[WireExpansion],
-    cache: &mut InstanceCache,
-) -> JobOutcome {
-    let decoded = match spec {
-        WireInstanceSpec::Inline {
-            digest,
-            instance,
-            extra_pool,
-        } => {
-            cache.put(digest, instance);
-            instance.decode_with_extra(extra_pool)
-        }
-        WireInstanceSpec::Cached { digest, extra_pool } => match cache.get(digest) {
-            Some(base) => base.decode_with_extra(extra_pool),
-            None => {
-                return JobOutcome::Failed {
-                    reason: format!("{INSTANCE_MISS_PREFIX}{digest}"),
-                }
-            }
-        },
-    };
-    let instance = match decoded {
-        Ok(instance) => instance,
-        Err(reason) => return JobOutcome::Failed { reason },
-    };
-    // One expansion at a time, each internally sequential: expansion jobs
-    // are already the unit of fleet-level parallelism, so nested fan-out
-    // inside a worker process would only oversubscribe it. Byte-identity
-    // does not depend on this — expansion is pure at every thread count.
-    let mut config = config.clone();
-    config.threads = 1;
-    let src_rows = instance.source.len();
-    let tgt_rows = instance.target.len();
-    let started = Instant::now();
-    let mut expansions = Vec::with_capacity(batch.len());
-    for request in batch {
-        let request = match request.to_request(instance.pool.len(), src_rows, tgt_rows) {
-            Ok(request) => request,
-            Err(reason) => return JobOutcome::Failed { reason },
-        };
-        let expansion = expand_portable(&instance, &config, &request);
-        expansions.push(WireExpansionResult::from_portable(&expansion));
-    }
-    JobOutcome::Expanded {
-        expansions,
-        millis: started.elapsed().as_millis() as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +179,7 @@ mod tests {
             name: "tiny".to_owned(),
             payload: JobPayload::Explain {
                 instance: WireInstance::from_instance(&instance),
-                config: AffidavitConfig::paper_id(),
+                config: WireConfig(AffidavitConfig::paper_id()),
             },
         }
     }
@@ -368,99 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn digest_only_jobs_miss_cold_caches_and_hit_warm_ones() {
-        let JobPayload::Explain { instance, config } = tiny_job(0).payload else {
-            unreachable!("tiny_job builds an explain job");
-        };
-        let digest = crate::wire::instance_digest(&instance);
-        let decoded = instance.decode().unwrap();
-        let state = affidavit_core::state::SearchState {
-            assignments: vec![
-                affidavit_core::state::Assignment::Undecided,
-                affidavit_core::state::Assignment::Undecided,
-            ],
-            blocking: std::sync::Arc::new(affidavit_blocking::Blocking::root(
-                &decoded.source,
-                &decoded.target,
-            )),
-            cost: 0.0,
-            id: 0,
-            parent: None,
-        };
-        let request = affidavit_core::ExpansionRequest {
-            state,
-            alignment: vec![(affidavit_table::RecordId(0), affidavit_table::RecordId(0))],
-        };
-        let job_with = |spec: WireInstanceSpec| Job {
-            id: 1,
-            name: "spec".to_owned(),
-            payload: JobPayload::Expansion {
-                instance: spec,
-                config: config.clone(),
-                batch: vec![WireExpansion::from_request(&request)],
-            },
-        };
-        let mut cache = InstanceCache::default();
-        // Cold cache + digest-only job: the distinguished soft failure.
-        let miss = process_job_with_cache(
-            &job_with(WireInstanceSpec::Cached {
-                digest: digest.clone(),
-                extra_pool: Vec::new(),
-            }),
-            "w0",
-            &mut cache,
-        );
-        assert!(is_instance_miss(&miss), "{:?}", miss.outcome);
-        // An inline job warms the cache...
-        let inline = process_job_with_cache(
-            &job_with(WireInstanceSpec::Inline {
-                digest: digest.clone(),
-                instance: instance.clone(),
-                extra_pool: Vec::new(),
-            }),
-            "w0",
-            &mut cache,
-        );
-        assert!(matches!(inline.outcome, JobOutcome::Expanded { .. }));
-        // ...after which the same digest-only job succeeds, byte-identically.
-        let hit = process_job_with_cache(
-            &job_with(WireInstanceSpec::Cached {
-                digest,
-                extra_pool: Vec::new(),
-            }),
-            "w0",
-            &mut cache,
-        );
-        assert!(!is_instance_miss(&hit));
-        assert_eq!(
-            crate::queue::strip_nondeterminism(&hit),
-            crate::queue::strip_nondeterminism(&inline)
-        );
-    }
-
-    #[test]
-    fn the_instance_cache_is_bounded_and_lru() {
-        let JobPayload::Explain { instance, .. } = tiny_job(0).payload else {
-            unreachable!("tiny_job builds an explain job");
-        };
-        let mut cache = InstanceCache::default();
-        for i in 0..InstanceCache::CAPACITY {
-            cache.put(&format!("d{i}"), &instance);
-        }
-        // Freshen d0, then overflow: d1 (now the least recent) is evicted.
-        assert!(cache.get("d0").is_some());
-        cache.put("one-too-many", &instance);
-        assert!(cache.get("d1").is_none());
-        assert!(cache.get("d0").is_some());
-        assert!(cache.get("one-too-many").is_some());
-    }
-
-    #[test]
     fn malformed_instance_fails_soft() {
         let mut job = tiny_job(0);
-        let JobPayload::Explain { instance, .. } = &mut job.payload else {
-            unreachable!("tiny_job builds an explain job");
-        };
+        let JobPayload::Explain { instance, .. } = &mut job.payload;
         instance.source[0][0] = 10_000;
         let result = process_job(&job, "w0");
         assert!(matches!(result.outcome, JobOutcome::Failed { .. }));

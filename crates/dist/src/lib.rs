@@ -31,21 +31,11 @@
 //!   so the rendered profile is byte-identical to the single-process run
 //!   at every worker count and on every transport
 //!   (`tests/properties_dist.rs`, `tests/properties_transport.rs`).
-//! * [`expansion`] — expansion stealing: the speculation driver's K-way
-//!   frontier batches published to the same queue as wire version 3
-//!   expansion jobs (instances content-addressed by digest, shipped
-//!   inline once and referenced thereafter), computed by local threads
-//!   and remote
-//!   `affidavit-worker` processes stealing side by side, reconciled by
-//!   the driver's serial replay into byte-identical reports
-//!   (`tests/properties_expansion_steal.rs`).
 //!
 //! Determinism does not depend on the queue: every job result is a pure
 //! function of the job bytes (the engine underneath is byte-identical at
-//! any thread count and speculative width), so stolen-then-duplicated
-//! jobs and straggler retries degrade to *wasted work*, never to
-//! nondeterminism — the same argument, one level up, as the speculative
-//! frontier's reconciliation protocol.
+//! any thread count), so stolen-then-duplicated jobs and straggler
+//! retries degrade to *wasted work*, never to nondeterminism.
 //!
 //! ```
 //! use std::time::Duration;
@@ -89,7 +79,6 @@
 
 pub mod broker;
 pub mod coordinate;
-pub mod expansion;
 pub mod frame;
 pub mod job;
 pub mod queue;
@@ -105,20 +94,16 @@ pub use coordinate::{
     absorb_result, execute_jobs, explain_via, profile_dirs_distributed, DistBackend, DistOptions,
     DistStats, RemoteExplanation,
 };
-pub use expansion::{ExpansionFleet, ExpansionFleetOptions};
 pub use frame::{
     configure_stream, read_frame, write_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES,
 };
 pub use job::{
-    decode_job, decode_result, encode_job, encode_result, is_instance_miss, InstanceCache, Job,
-    JobOutcome, JobPayload, JobResult,
+    decode_job, decode_result, encode_job, encode_result, Job, JobOutcome, JobPayload, JobResult,
 };
 pub use queue::{InProcessQueue, JobQueue, QueueStats};
 pub use tcp::{TcpBroker, TcpClient};
 pub use transport::{requeue_backoff, Broker, Claimed, Delivered, Transport};
-pub use wire::{
-    instance_digest, WireFunction, WireInstance, WireInstanceSpec, WIRE_FORMAT, WIRE_VERSION,
-};
+pub use wire::{WireConfig, WireFunction, WireInstance, WIRE_FORMAT, WIRE_VERSION};
 pub use worker::{
     run_worker, run_worker_with_reconnect, WorkerExit, WorkerStats, BROKER_LOST_EXIT_CODE,
 };

@@ -75,19 +75,8 @@ pub trait JobQueue: Send + Sync {
 
     /// Fetch the result for a job id, if one has arrived (coordinator
     /// side). Non-destructive and idempotent — the coordinator may poll
-    /// and re-read; [`JobQueue::forget`] is the destructive counterpart.
+    /// and re-read.
     fn fetch_result(&self, id: u64) -> Result<Option<JobResult>, String>;
-
-    /// Retire a job id (coordinator side): drop its pending publications
-    /// and stored result, and discard any late delivery for it. Called
-    /// after the coordinator has absorbed the result — or abandoned the
-    /// batch — so a long-lived queue retains no per-job state and workers
-    /// stop computing withdrawn work. Idempotent; forgetting an id that
-    /// was never submitted is a no-op. The default is a no-op for
-    /// test-only queues that never outlive a run.
-    fn forget(&self, _id: u64) -> Result<(), String> {
-        Ok(())
-    }
 
     /// Tell idle workers to exit once no work is left (coordinator side).
     fn request_shutdown(&self) -> Result<(), String>;
@@ -110,29 +99,6 @@ struct Inner {
     stats: QueueStats,
     stop: bool,
     conflicts: Vec<String>,
-    /// Retired-id tracking, compacted: every id below `retired_floor` is
-    /// retired, plus the (small, non-contiguous) set above it. Job ids
-    /// are monotonic per coordinator and every id is eventually
-    /// forgotten, so the floor advances and the set stays near-empty —
-    /// O(1) memory over a daemon's lifetime.
-    retired_floor: u64,
-    retired: std::collections::BTreeSet<u64>,
-}
-
-impl Inner {
-    fn is_retired(&self, id: u64) -> bool {
-        id < self.retired_floor || self.retired.contains(&id)
-    }
-
-    fn retire(&mut self, id: u64) {
-        if id >= self.retired_floor {
-            self.retired.insert(id);
-        }
-        // Advance the floor over the contiguous retired prefix.
-        while self.retired.remove(&self.retired_floor) {
-            self.retired_floor += 1;
-        }
-    }
 }
 
 /// A [`JobQueue`] living entirely in this process: a mutex-guarded deque
@@ -154,19 +120,6 @@ impl InProcessQueue {
             .lock()
             .map_err(|_| "queue poisoned by a panicking worker".to_owned())
     }
-
-    /// Results currently held — delivered but not yet forgotten. A
-    /// well-behaved coordinator drives this back to zero after every
-    /// batch; the probe exists so tests (and operators embedding the
-    /// queue) can assert it.
-    pub fn retained_results(&self) -> usize {
-        self.lock().map(|inner| inner.results.len()).unwrap_or(0)
-    }
-
-    /// Publications not yet claimed by any worker.
-    pub fn pending_jobs(&self) -> usize {
-        self.lock().map(|inner| inner.pending.len()).unwrap_or(0)
-    }
 }
 
 impl JobQueue for InProcessQueue {
@@ -182,14 +135,7 @@ impl JobQueue for InProcessQueue {
         if inner.stop {
             return Ok(None);
         }
-        // Skip (and drop) publications of retired ids: their coordinator
-        // has already withdrawn the work.
-        let job = loop {
-            match inner.pending.pop_front() {
-                Some(job) if inner.is_retired(job.id) => continue,
-                other => break other,
-            }
-        };
+        let job = inner.pending.pop_front();
         if job.is_some() {
             inner.stats.steals += 1;
         }
@@ -198,12 +144,6 @@ impl JobQueue for InProcessQueue {
 
     fn complete(&self, _worker: &str, result: &JobResult) -> Result<(), String> {
         let mut inner = self.lock()?;
-        if inner.is_retired(result.id) {
-            // A late delivery for withdrawn work (the job was in flight
-            // when the coordinator forgot it): discard, don't store.
-            inner.stats.duplicates_discarded += 1;
-            return Ok(());
-        }
         match inner.results.get(&result.id) {
             None => {
                 inner.results.insert(result.id, result.clone());
@@ -211,13 +151,8 @@ impl JobQueue for InProcessQueue {
             Some(existing) => {
                 // A duplicate (stolen twice, or a straggler retry): the
                 // engine is deterministic, so apart from the worker name
-                // and wall time the bytes must agree. Instance-cache
-                // misses are exempt: a cold and a warm worker racing on a
-                // requeued digest-only job legitimately diverge.
-                if crate::job::is_instance_miss(existing)
-                    || crate::job::is_instance_miss(result)
-                    || strip_nondeterminism(existing) == strip_nondeterminism(result)
-                {
+                // and wall time the bytes must agree.
+                if strip_nondeterminism(existing) == strip_nondeterminism(result) {
                     inner.stats.duplicates_discarded += 1;
                 } else {
                     let conflict = format!(
@@ -234,14 +169,6 @@ impl JobQueue for InProcessQueue {
 
     fn fetch_result(&self, id: u64) -> Result<Option<JobResult>, String> {
         Ok(self.lock()?.results.get(&id).cloned())
-    }
-
-    fn forget(&self, id: u64) -> Result<(), String> {
-        let mut inner = self.lock()?;
-        inner.pending.retain(|job| job.id != id);
-        inner.results.remove(&id);
-        inner.retire(id);
-        Ok(())
     }
 
     fn request_shutdown(&self) -> Result<(), String> {
@@ -271,10 +198,8 @@ impl JobQueue for InProcessQueue {
 pub(crate) fn strip_nondeterminism(result: &JobResult) -> String {
     let mut stripped = result.clone();
     stripped.worker = String::new();
-    match &mut stripped.outcome {
-        crate::job::JobOutcome::Explained { millis, .. }
-        | crate::job::JobOutcome::Expanded { millis, .. } => *millis = 0,
-        crate::job::JobOutcome::Failed { .. } => {}
+    if let crate::job::JobOutcome::Explained { millis, .. } = &mut stripped.outcome {
+        *millis = 0;
     }
     encode_result(&stripped)
 }
@@ -296,7 +221,7 @@ mod tests {
                     source: vec![vec![0]],
                     target: vec![vec![0]],
                 },
-                config: affidavit_core::AffidavitConfig::paper_id(),
+                config: crate::wire::WireConfig(affidavit_core::AffidavitConfig::paper_id()),
             },
         }
     }
@@ -338,68 +263,6 @@ mod tests {
         q.complete("a", &dummy_result(7, "a", "one")).unwrap();
         q.complete("b", &dummy_result(7, "b", "two")).unwrap();
         assert!(q.check_health().unwrap_err().contains("diverging"));
-    }
-
-    #[test]
-    fn forget_withdraws_pending_work_and_drops_results() {
-        let q = InProcessQueue::new();
-        q.submit(&dummy_job(0)).unwrap();
-        q.submit(&dummy_job(1)).unwrap();
-        q.forget(0).unwrap();
-        // The withdrawn job is never handed out...
-        assert_eq!(q.steal("w").unwrap().unwrap().id, 1);
-        assert!(q.steal("w").unwrap().is_none());
-        assert_eq!(q.pending_jobs(), 0);
-        // ...and a late delivery for it (the in-flight case) is discarded
-        // without being stored or flagged as a conflict.
-        q.complete("w", &dummy_result(0, "w", "late")).unwrap();
-        assert!(q.fetch_result(0).unwrap().is_none());
-        assert_eq!(q.stats().unwrap().duplicates_discarded, 1);
-        assert!(q.check_health().is_ok());
-        // Absorb-then-forget leaves nothing retained.
-        q.complete("w", &dummy_result(1, "w", "done")).unwrap();
-        assert!(q.fetch_result(1).unwrap().is_some());
-        q.forget(1).unwrap();
-        assert_eq!(q.retained_results(), 0);
-        // Forgetting is idempotent and tolerant of unknown ids.
-        q.forget(1).unwrap();
-        q.forget(999).unwrap();
-    }
-
-    #[test]
-    fn retired_id_tracking_compacts_to_a_floor() {
-        let q = InProcessQueue::new();
-        // Forget out of order; the floor must still swallow the prefix.
-        for id in [1u64, 0, 2, 4, 3] {
-            q.forget(id).unwrap();
-        }
-        let inner = q.lock().unwrap();
-        assert_eq!(inner.retired_floor, 5);
-        assert!(inner.retired.is_empty());
-        assert!(inner.is_retired(4));
-        assert!(!inner.is_retired(5));
-    }
-
-    #[test]
-    fn instance_miss_duplicates_never_conflict() {
-        use crate::job::INSTANCE_MISS_PREFIX;
-        // A cold worker's miss failure races a warm worker's real result
-        // on a requeued id — in either order, that is a discard, not a
-        // determinism violation.
-        for (first, second) in [("real", "miss"), ("miss", "real")] {
-            let q = InProcessQueue::new();
-            let result = |tag: &str, worker: &str| {
-                if tag == "miss" {
-                    dummy_result(3, worker, &format!("{INSTANCE_MISS_PREFIX}deadbeef"))
-                } else {
-                    dummy_result(3, worker, "real result stand-in")
-                }
-            };
-            q.complete("a", &result(first, "a")).unwrap();
-            q.complete("b", &result(second, "b")).unwrap();
-            assert!(q.check_health().is_ok(), "{first} then {second}");
-            assert_eq!(q.stats().unwrap().duplicates_discarded, 1);
-        }
     }
 
     #[test]

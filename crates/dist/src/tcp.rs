@@ -84,10 +84,6 @@ enum Request {
     },
     /// [`Transport::fetch`].
     Fetch { id: u64 },
-    /// [`Transport::forget`]: retire `id` — drop its pending
-    /// publications, leases and stored delivery, and discard any later
-    /// delivery for it.
-    Forget { id: u64 },
     /// [`Transport::requeue_expired`] (timeout in milliseconds).
     Requeue { base_timeout_ms: u64 },
     /// [`Transport::stop`].
@@ -161,28 +157,6 @@ struct TcpState {
     conflicts: Vec<String>,
     stats: QueueStats,
     stop: bool,
-    /// Retired-id tracking, compacted: every id below `retired_floor` is
-    /// retired, plus the (small, non-contiguous) set above it. Job ids
-    /// are monotonic per coordinator and every id is eventually
-    /// forgotten, so the floor advances and the set stays near-empty —
-    /// O(1) memory over a daemon's lifetime.
-    retired_floor: u64,
-    retired: std::collections::BTreeSet<u64>,
-}
-
-impl TcpState {
-    fn is_retired(&self, id: u64) -> bool {
-        id < self.retired_floor || self.retired.contains(&id)
-    }
-
-    fn retire(&mut self, id: u64) {
-        if id >= self.retired_floor {
-            self.retired.insert(id);
-        }
-        while self.retired.remove(&self.retired_floor) {
-            self.retired_floor += 1;
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -282,17 +256,6 @@ impl TcpBroker {
         self.addr
     }
 
-    /// Results currently held — delivered but not yet forgotten. A
-    /// well-behaved coordinator drives this back to zero after every
-    /// batch; the probe exists so tests (and operators embedding the
-    /// broker) can assert it.
-    pub fn retained_results(&self) -> usize {
-        self.shared
-            .lock()
-            .map(|state| state.results.len())
-            .unwrap_or(0)
-    }
-
     /// Leases currently outstanding (claimed, no delivery yet).
     pub fn active_leases(&self) -> usize {
         self.shared
@@ -380,15 +343,7 @@ fn answer(request: &Request, shared: &TcpShared) -> Response {
             if state.stop {
                 return Response::Empty;
             }
-            // Skip (and drop) publications of retired ids: their
-            // coordinator has already withdrawn the work.
-            let next = loop {
-                match state.pending.pop_first() {
-                    Some(((id, _), _)) if state.is_retired(id) => continue,
-                    other => break other,
-                }
-            };
-            match next {
+            match state.pending.pop_first() {
                 None => Response::Empty,
                 Some(((id, _sub), envelope)) => {
                     state.leases.push(Lease {
@@ -425,12 +380,6 @@ fn answer(request: &Request, shared: &TcpShared) -> Response {
             id,
             envelope,
         } => {
-            if state.is_retired(*id) {
-                // A late delivery for withdrawn work: accept-and-drop,
-                // so the worker moves on and nothing is stored.
-                state.leases.retain(|lease| lease.id != *id);
-                return Response::Accepted;
-            }
             if let Some(existing) = state.results.get(id) {
                 return Response::Duplicate {
                     existing: existing.clone(),
@@ -464,13 +413,6 @@ fn answer(request: &Request, shared: &TcpShared) -> Response {
             },
             None => Response::NotFound,
         },
-        Request::Forget { id } => {
-            state.pending.retain(|(job_id, _), _| job_id != id);
-            state.leases.retain(|lease| lease.id != *id);
-            state.results.remove(id);
-            state.retire(*id);
-            Response::Ok
-        }
         Request::Requeue { base_timeout_ms } => {
             let count = requeue_pass(&mut state, Duration::from_millis(*base_timeout_ms));
             Response::Requeued {
@@ -772,10 +714,6 @@ macro_rules! transport_via_requests {
                 decode::fetch(self.$dispatch(&Request::Fetch { id })?)
             }
 
-            fn forget(&self, id: u64) -> Result<(), String> {
-                decode::unit(self.$dispatch(&Request::Forget { id })?, "forget")
-            }
-
             fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
                 decode::requeued(self.$dispatch(&Request::Requeue {
                     base_timeout_ms: base_timeout.as_millis() as u64,
@@ -823,7 +761,7 @@ mod tests {
                     source: vec![vec![0]],
                     target: vec![vec![0]],
                 },
-                config: affidavit_core::AffidavitConfig::paper_id(),
+                config: crate::wire::WireConfig(affidavit_core::AffidavitConfig::paper_id()),
             },
         }
     }
@@ -1009,38 +947,35 @@ mod tests {
     }
 
     #[test]
-    fn forget_retires_ids_on_both_halves() {
-        let (coordinator, worker) = pair();
-        coordinator.submit(&dummy_job(0)).unwrap();
-        coordinator.submit(&dummy_job(1)).unwrap();
-        // Forgetting a pending job withdraws it before any worker sees it.
-        coordinator.forget(0).unwrap();
-        assert_eq!(worker.steal("w").unwrap().unwrap().id, 1);
-        assert!(worker.steal("w").unwrap().is_none());
-        // An in-flight job forgotten mid-compute: the late delivery is
-        // accept-and-dropped, its lease is gone, nothing is retained.
-        coordinator.forget(1).unwrap();
-        worker.complete("w", &dummy_result(1, "w", "late")).unwrap();
-        assert!(coordinator.fetch_result(1).unwrap().is_none());
-        assert_eq!(coordinator.transport().active_leases(), 0);
-        assert_eq!(coordinator.transport().retained_results(), 0);
-        assert!(coordinator.check_health().is_ok());
-        // Absorb-then-forget over the socket path too.
-        coordinator.submit(&dummy_job(2)).unwrap();
-        assert_eq!(worker.steal("w").unwrap().unwrap().id, 2);
-        worker.complete("w", &dummy_result(2, "w", "done")).unwrap();
-        assert!(coordinator.fetch_result(2).unwrap().is_some());
-        worker.forget(2).unwrap();
-        assert_eq!(coordinator.transport().retained_results(), 0);
-    }
-
-    #[test]
     fn shutdown_stops_handing_out_pending_jobs() {
         let (coordinator, worker) = pair();
         coordinator.submit(&dummy_job(0)).unwrap();
         coordinator.request_shutdown().unwrap();
         assert!(worker.shutdown_requested().unwrap());
         assert!(worker.steal("w").unwrap().is_none());
+    }
+
+    #[test]
+    fn a_forget_request_is_a_typed_error_not_a_panic() {
+        // `forget` is not part of the request vocabulary: the coordinator
+        // answers with an error response and keeps serving the connection.
+        let (coordinator, _worker) = pair();
+        let cfg = FrameConfig::default();
+        let mut stream = TcpStream::connect(coordinator.transport().local_addr()).unwrap();
+        configure_stream(&stream, &cfg).unwrap();
+        let mut exchange = |request: &str| -> Response {
+            write_frame(&mut stream, request, &cfg).unwrap();
+            loop {
+                match read_frame(&mut stream, &cfg).unwrap() {
+                    FrameRead::Frame(reply) => return serde_json::from_str(&reply).unwrap(),
+                    FrameRead::Idle => continue,
+                    FrameRead::Closed => panic!("the coordinator hung up"),
+                }
+            }
+        };
+        let reply = exchange(r#"{"op":"forget","id":3}"#);
+        assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+        assert!(matches!(exchange(r#"{"op":"ping"}"#), Response::Ok));
     }
 
     #[test]

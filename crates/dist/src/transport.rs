@@ -106,16 +106,8 @@ pub trait Transport: Send + Sync {
     fn record_conflict(&self, worker: &str, id: u64, envelope: &str) -> Result<(), String>;
 
     /// The delivered envelope for `id`, if any (coordinator side).
-    /// Non-destructive and idempotent — [`Transport::forget`] is the
-    /// destructive counterpart.
+    /// Non-destructive and idempotent.
     fn fetch(&self, id: u64) -> Result<Option<String>, String>;
-
-    /// Retire `id` (coordinator side): drop its pending publications,
-    /// leases and stored delivery, and discard (never store) any later
-    /// delivery for it. Idempotent; unknown ids are a no-op. Called once
-    /// the protocol layer has absorbed or abandoned the id, so a
-    /// long-lived transport retains no per-job state.
-    fn forget(&self, id: u64) -> Result<(), String>;
 
     /// Re-publish leases older than [`requeue_backoff`]`(base_timeout,
     /// prior requeues of the id)` whose id has no delivery — the
@@ -200,13 +192,7 @@ impl<T: Transport> JobQueue for Broker<T> {
                 // engine is deterministic, so apart from the worker name
                 // and wall time the bytes must agree.
                 let existing = decode_result(&existing)?;
-                // Instance-cache misses are exempt from the comparison: a
-                // cold and a warm worker racing on a requeued digest-only
-                // job legitimately produce different bytes.
-                if crate::job::is_instance_miss(&existing)
-                    || crate::job::is_instance_miss(result)
-                    || strip_nondeterminism(&existing) == strip_nondeterminism(result)
-                {
+                if strip_nondeterminism(&existing) == strip_nondeterminism(result) {
                     self.transport.discard_duplicate(worker, result.id)
                 } else {
                     self.transport.record_conflict(worker, result.id, &envelope)
@@ -220,10 +206,6 @@ impl<T: Transport> JobQueue for Broker<T> {
             None => Ok(None),
             Some(envelope) => decode_result(&envelope).map(Some),
         }
-    }
-
-    fn forget(&self, id: u64) -> Result<(), String> {
-        self.transport.forget(id)
     }
 
     fn request_shutdown(&self) -> Result<(), String> {

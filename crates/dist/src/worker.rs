@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::job::{process_job_with_cache, InstanceCache, JobOutcome};
+use crate::job::{process_job, JobOutcome};
 use crate::queue::JobQueue;
 
 /// How often a worker renews the lease on the job it is computing
@@ -58,10 +58,6 @@ pub fn run_worker(
 ) -> Result<WorkerStats, String> {
     let mut stats = WorkerStats::default();
     let mut idle_naps = 0u32;
-    // Content-addressed instances survive across jobs: the whole point
-    // of digest-only expansion jobs is that the instance crosses the
-    // transport once per fleet, not once per job.
-    let mut cache = InstanceCache::default();
     loop {
         match queue.steal(worker_id)? {
             Some(job) => {
@@ -75,7 +71,7 @@ pub fn run_worker(
                     ],
                 );
                 let result = with_heartbeats(queue, worker_id, job.id, HEARTBEAT_INTERVAL, || {
-                    process_job_with_cache(&job, worker_id, &mut cache)
+                    process_job(&job, worker_id)
                 });
                 if matches!(result.outcome, JobOutcome::Failed { .. }) {
                     stats.failed += 1;
@@ -220,7 +216,7 @@ mod tests {
                     source: vec![vec![0]],
                     target: vec![vec![1]],
                 },
-                config: AffidavitConfig::paper_id(),
+                config: crate::wire::WireConfig(AffidavitConfig::paper_id()),
             },
         }
     }

@@ -19,7 +19,7 @@ use affidavit_core::profiling::{profile_dirs, ProfileOptions, SnapshotProfile};
 use affidavit_core::{AffidavitConfig, ProblemInstance};
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datasets::synth::generate_rows;
-use affidavit_dist::wire::{instance_digest, WireExpansion, WireInstanceSpec};
+use affidavit_dist::wire::WireConfig;
 use affidavit_dist::{
     decode_job, encode_job, profile_dirs_distributed, DistBackend, DistOptions, Job, JobPayload,
     WireInstance,
@@ -185,7 +185,7 @@ fn child_processes_survive_straggler_requeue_pressure() {
 // ---- wire-format stability ----------------------------------------------
 
 /// The fixture instance: small, covers quoting-sensitive strings, and is
-/// pinned byte-for-byte in `tests/fixtures/job_v2.json`. Regenerate the
+/// pinned byte-for-byte in `tests/fixtures/job_v3.json`. Regenerate the
 /// fixtures (after a deliberate format change plus version bump) with
 /// `REGEN_FIXTURES=1 cargo test -p affidavit-dist --test properties_dist`.
 fn fixture_job() -> Job {
@@ -206,7 +206,7 @@ fn fixture_job() -> Job {
         name: "fixture".to_owned(),
         payload: JobPayload::Explain {
             instance: WireInstance::from_instance(&instance),
-            config: AffidavitConfig::paper_id(),
+            config: WireConfig(AffidavitConfig::paper_id()),
         },
     }
 }
@@ -217,50 +217,6 @@ fn wire_roundtrip_is_a_fixed_point() {
     let text = encode_job(&job);
     let back = decode_job(&text).unwrap();
     assert_eq!(encode_job(&back), text);
-}
-
-/// The fixture expansion job: the same instance with a one-assignment
-/// frontier state, pinned in `tests/fixtures/expansion_v3.json`.
-fn fixture_expansion_job() -> Job {
-    let JobPayload::Explain { instance, config } = fixture_job().payload else {
-        unreachable!("fixture_job builds an explain job");
-    };
-    let decoded = instance.decode().unwrap();
-    let state = affidavit_core::state::SearchState {
-        assignments: vec![
-            affidavit_core::state::Assignment::Assigned(
-                affidavit_functions::AttrFunction::Identity,
-            ),
-            affidavit_core::state::Assignment::Undecided,
-        ],
-        blocking: std::sync::Arc::new(affidavit_blocking::Blocking::root(
-            &decoded.source,
-            &decoded.target,
-        )),
-        cost: 1.5,
-        id: 7,
-        parent: Some(2),
-    };
-    let request = affidavit_core::ExpansionRequest {
-        state,
-        alignment: vec![
-            (affidavit_table::RecordId(0), affidavit_table::RecordId(0)),
-            (affidavit_table::RecordId(1), affidavit_table::RecordId(1)),
-        ],
-    };
-    Job {
-        id: 43,
-        name: "fixture-expansion".to_owned(),
-        payload: JobPayload::Expansion {
-            instance: WireInstanceSpec::Inline {
-                digest: instance_digest(&instance),
-                instance,
-                extra_pool: Vec::new(),
-            },
-            config,
-            batch: vec![WireExpansion::from_request(&request)],
-        },
-    }
 }
 
 /// Pin (or, under `REGEN_FIXTURES=1`, rewrite) one golden fixture.
@@ -294,47 +250,19 @@ fn golden_bytes_are_stable() {
     );
     let job = decode_job(&expected).unwrap();
     assert_eq!(job.id, 42);
-    let JobPayload::Explain { instance, config } = &job.payload else {
-        panic!("fixture is an explain job");
-    };
+    let JobPayload::Explain { instance, config } = &job.payload;
     assert_eq!(instance.schema, vec!["Val", "Unit"]);
-    assert_eq!(config.beta, 2);
+    assert_eq!(config.0.beta, 2);
     assert!(instance.decode().is_ok());
 }
 
 #[test]
-fn golden_expansion_bytes_are_stable() {
-    let expected = check_golden(
-        "fixtures/expansion_v3.json",
-        include_str!("fixtures/expansion_v3.json"),
-        &encode_job(&fixture_expansion_job()),
-    );
-    let job = decode_job(&expected).unwrap();
-    assert_eq!(job.id, 43);
-    let JobPayload::Expansion {
-        instance, batch, ..
-    } = &job.payload
-    else {
-        panic!("fixture is an expansion job");
-    };
-    let WireInstanceSpec::Inline {
-        digest,
-        instance,
-        extra_pool,
-    } = instance
-    else {
-        panic!("fixture ships its instance inline");
-    };
-    assert_eq!(digest, &instance_digest(instance));
-    assert!(extra_pool.is_empty());
-    let decoded = instance.decode().unwrap();
-    let request = batch[0]
-        .to_request(
-            decoded.pool.len(),
-            decoded.source.len(),
-            decoded.target.len(),
-        )
-        .unwrap();
-    assert_eq!(request.state.id, 7);
-    assert_eq!(request.alignment.len(), 2);
+fn retired_expansion_jobs_are_rejected() {
+    // Version 3 once carried `expansion` jobs (frontier states shipped for
+    // remote expansion). This build no longer speaks that task: a pinned
+    // job of the old kind must decode to an error, never panic or be
+    // mistaken for an explain job.
+    let text = include_str!("fixtures/expansion_v3.json").trim_end();
+    assert!(text.contains(r#""version":3"#) && text.contains(r#""task":"expansion""#));
+    assert!(decode_job(text).is_err());
 }

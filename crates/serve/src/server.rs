@@ -8,10 +8,8 @@ use std::time::{Duration, Instant};
 
 use affidavit_core::profiling::{stage_snapshot_pair, ProfileOptions};
 use affidavit_core::report::render_report;
-use affidavit_core::{Affidavit, DeadlineExceeded, ExpansionExecutor};
-use affidavit_dist::{
-    configure_stream, read_frame, write_frame, DistBackend, ExpansionFleet, FrameConfig, FrameRead,
-};
+use affidavit_core::{Affidavit, DeadlineExceeded};
+use affidavit_dist::{configure_stream, read_frame, write_frame, FrameConfig, FrameRead};
 use affidavit_store::{
     ingest_pair, IngestOptions, PoolBackend, PoolConfig, SessionKey, SessionLru,
 };
@@ -37,12 +35,6 @@ pub struct ServeOptions {
     /// aborted cooperatively and answered with an error. `None` =
     /// unlimited.
     pub request_deadline: Option<Duration>,
-    /// Share one in-process expansion-stealing fleet across all warm
-    /// sessions: every `Explain` request's speculated frontier batches
-    /// fan out to this many worker threads (`Some(0)` = one per hardware
-    /// thread). `None` — the default — expands on the request thread.
-    /// Results are byte-identical either way.
-    pub expansion_workers: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -53,7 +45,6 @@ impl Default for ServeOptions {
             frame: FrameConfig::default(),
             max_inflight: 0,
             request_deadline: None,
-            expansion_workers: None,
         }
     }
 }
@@ -70,9 +61,6 @@ struct ServeShared {
     conns: Mutex<Vec<Option<TcpStream>>>,
     max_inflight: usize,
     request_deadline: Option<Duration>,
-    /// The shared expansion-stealing fleet, if the daemon was started
-    /// with one — attached to every request's search.
-    executor: Option<Arc<ExpansionFleet>>,
     inflight: AtomicU64,
     busy_rejections: AtomicU64,
     deadline_expirations: AtomicU64,
@@ -232,13 +220,6 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeHandle, String> {
         conns: Mutex::new(Vec::new()),
         max_inflight: opts.max_inflight,
         request_deadline: opts.request_deadline,
-        executor: match opts.expansion_workers {
-            Some(workers) => Some(Arc::new(ExpansionFleet::with_backend(
-                DistBackend::InProcess,
-                workers,
-            )?)),
-            None => None,
-        },
         inflight: AtomicU64::new(0),
         busy_rejections: AtomicU64::new(0),
         deadline_expirations: AtomicU64::new(0),
@@ -368,12 +349,7 @@ fn explain(spec: &ExplainSpec, shared: &ServeShared) -> Result<ReportReply, Stri
     let started = Instant::now();
     let outcome = {
         let _span = affidavit_obs::span("serve.search");
-        let mut solver = Affidavit::new(spec.config.clone());
-        if let Some(executor) = &shared.executor {
-            solver =
-                solver.with_expansion_executor(Arc::clone(executor) as Arc<dyn ExpansionExecutor>);
-        }
-        solver
+        Affidavit::new(spec.config.clone())
             .explain_until(&mut instance, deadline)
             .map_err(|DeadlineExceeded| {
                 shared.deadline_expirations.fetch_add(1, Ordering::Relaxed);
@@ -494,7 +470,6 @@ fn profile_options(spec: &ExplainSpec) -> Result<ProfileOptions, String> {
         align: spec.align,
         ingest: ingest_opts,
         pool: pool_cfg,
-        ..ProfileOptions::default()
     })
 }
 
@@ -515,7 +490,6 @@ mod tests {
             inflight: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             deadline_expirations: AtomicU64::new(0),
-            executor: None,
         }
     }
 

@@ -11,7 +11,7 @@
 //!    survive the transpose-in/transpose-out round trip through columns,
 //!    row views and materialized records.
 //! 3. **Byte-identical output** — `explain` (both paper configs, threads
-//!    {1, 4}, speculative widths {1, 4}) and `profile` (RAM and
+//!    {1, 4}) and `profile` (RAM and
 //!    disk-spilled pool backends) render byte-identical reports and pool
 //!    evolution whether the instance tables were built row-wise or
 //!    rebuilt from raw columns.
@@ -176,18 +176,16 @@ fn explain_fingerprint(cfg: AffidavitConfig, seed: u64, columnar: bool) -> Strin
 fn explain_is_build_path_invariant() {
     for init in [InitStrategy::Id, InitStrategy::Overlap] {
         for threads in [1usize, 4] {
-            for width in [1usize, 4] {
-                let mut cfg = AffidavitConfig::paper_id();
-                cfg.init = init;
-                cfg.parallel_min_records = 0;
-                let cfg = cfg.with_threads(threads).with_speculative_width(width);
-                let row = explain_fingerprint(cfg.clone(), 7, false);
-                let col = explain_fingerprint(cfg, 7, true);
-                assert_eq!(
-                    row, col,
-                    "row-built vs column-built diverged ({init:?}, {threads} threads, width {width})"
-                );
-            }
+            let mut cfg = AffidavitConfig::paper_id();
+            cfg.init = init;
+            cfg.parallel_min_records = 0;
+            let cfg = cfg.with_threads(threads);
+            let row = explain_fingerprint(cfg.clone(), 7, false);
+            let col = explain_fingerprint(cfg, 7, true);
+            assert_eq!(
+                row, col,
+                "row-built vs column-built diverged ({init:?}, {threads} threads)"
+            );
         }
     }
 }

@@ -83,7 +83,6 @@ fn opts_for(seed: u64) -> ProfileOptions {
         align: false,
         ingest: IngestOptions::default(),
         pool,
-        executor: None,
     }
 }
 
@@ -328,9 +327,17 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
     );
     let mut threads4 = opts_for(0);
     threads4.config.threads = 4;
-    assert_ne!(
+    threads4.config.parallel_min_records = 0;
+    assert_eq!(
         config_fingerprint(&ram.config, ram.align),
         config_fingerprint(&threads4.config, threads4.align),
+        "the search's scheduling knobs are byte-transparent"
+    );
+    let mut reseeded = opts_for(0);
+    reseeded.config.seed ^= 1;
+    assert_ne!(
+        config_fingerprint(&ram.config, ram.align),
+        config_fingerprint(&reseeded.config, reseeded.align),
         "search-shaping knobs must invalidate the manifest"
     );
 
@@ -388,6 +395,20 @@ fn profile_delta_matches_from_scratch_across_the_matrix() {
         );
         assert_eq!(stats.pairs_redone, 1);
         assert_eq!(stats.pairs_spliced, 2);
+        assert_eq!(stats.fallbacks, 0);
+
+        // The manifest was written at one search thread; a rerun at two
+        // splices every pair and still matches a from-scratch profile.
+        let mut threads2 = opts.clone();
+        threads2.config.threads = 2;
+        let (delta, stats) = profile_dirs_delta(&before, &after, &threads2, &state).unwrap();
+        assert_eq!(
+            canonical(delta),
+            canonical(profile_dirs(&before, &after, &threads2).unwrap()),
+            "divergence at seed {seed}, threads 2"
+        );
+        assert_eq!(stats.pairs_spliced, 3, "seed {seed}: {stats:?}");
+        assert_eq!(stats.pairs_redone, 0);
         assert_eq!(stats.fallbacks, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -67,17 +67,13 @@ fn fingerprint(cfg: AffidavitConfig, seed: u64) -> (String, u64, f64, usize) {
     )
 }
 
-/// The parallel configuration under test: `(threads, speculative_width)`.
-/// Defaults to `(8, 1)`; the CI determinism matrix leg overrides it via
-/// `AFFIDAVIT_TEST_THREADS` / `AFFIDAVIT_TEST_SPECULATIVE_WIDTH` so this
-/// suite also re-runs pinned to a speculating multi-thread engine.
-fn parallel_config() -> (usize, usize) {
-    let env_usize =
-        |name: &str| -> Option<usize> { std::env::var(name).ok().and_then(|v| v.parse().ok()) };
-    (
-        env_usize("AFFIDAVIT_TEST_THREADS").unwrap_or(8),
-        env_usize("AFFIDAVIT_TEST_SPECULATIVE_WIDTH").unwrap_or(1),
-    )
+/// The parallel thread count under test. Defaults to 8; the CI
+/// determinism leg overrides it via `AFFIDAVIT_TEST_THREADS`.
+fn parallel_threads() -> usize {
+    std::env::var("AFFIDAVIT_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8)
 }
 
 proptest! {
@@ -85,7 +81,7 @@ proptest! {
     /// both paper configs.
     #[test]
     fn explain_is_thread_count_invariant(seed in 0u64..10_000) {
-        let (threads, width) = parallel_config();
+        let threads = parallel_threads();
         for init in [InitStrategy::Id, InitStrategy::Overlap] {
             let mut base = AffidavitConfig::paper_id();
             base.init = init;
@@ -97,10 +93,7 @@ proptest! {
                 base.queue_width = 1;
             }
             let sequential = fingerprint(base.clone().with_threads(1), seed);
-            let parallel = fingerprint(
-                base.clone().with_threads(threads).with_speculative_width(width),
-                seed,
-            );
+            let parallel = fingerprint(base.clone().with_threads(threads), seed);
             prop_assert_eq!(&sequential, &parallel, "divergence at seed {} ({:?})", seed, init);
         }
     }
@@ -116,5 +109,53 @@ fn explain_matches_across_many_thread_counts() {
     for threads in [2usize, 3, 8, 0] {
         let got = fingerprint(cfg.clone().with_threads(threads), 7);
         assert_eq!(base, got, "threads={threads} diverged");
+    }
+}
+
+/// Everything a traced search exposes: the rendered report, the rendered
+/// trace (ids, poll order, kept flags), the poll/expansion counters and
+/// whether the expansion limit fired.
+fn traced_fingerprint(
+    mut cfg: AffidavitConfig,
+    seed: u64,
+    threads: usize,
+) -> (String, String, usize, usize, bool) {
+    let mut inst = instance(seed);
+    cfg.parallel_min_records = 0;
+    let out =
+        Affidavit::new(cfg.with_seed(seed).with_threads(threads).with_trace()).explain(&mut inst);
+    out.explanation.validate(&mut inst).unwrap();
+    (
+        render_report(&out.explanation, &inst),
+        out.trace.expect("trace enabled").render(),
+        out.stats.polled,
+        out.stats.expansions,
+        out.stats.hit_expansion_limit,
+    )
+}
+
+/// The greedy paper_overlap configuration (ϱ = 1) matches its serial
+/// search, trace included, at high, odd and auto thread counts.
+#[test]
+fn overlap_config_matches_across_thread_counts() {
+    let cfg = AffidavitConfig::paper_overlap();
+    let base = traced_fingerprint(cfg.clone(), 4242, 1);
+    for threads in [8usize, 0, 3] {
+        let got = traced_fingerprint(cfg.clone(), 4242, threads);
+        assert_eq!(base, got, "threads {threads} diverged");
+    }
+}
+
+/// When the expansion safety valve fires, the finalized partial
+/// explanation and trace match the serial engine at every thread count.
+#[test]
+fn expansion_limit_matches_across_thread_counts() {
+    let mut cfg = AffidavitConfig::paper_id();
+    cfg.max_expansions = 3;
+    let base = traced_fingerprint(cfg.clone(), 77, 1);
+    assert!(base.4, "the expansion limit must fire");
+    for threads in [2usize, 4, 8] {
+        let got = traced_fingerprint(cfg.clone(), 77, threads);
+        assert_eq!(base, got, "threads {threads} diverged at the limit");
     }
 }

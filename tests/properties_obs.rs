@@ -75,13 +75,11 @@ fn explain_fingerprint(src: &Path, tgt: &Path, cfg: &AffidavitConfig) -> String 
     let mut instance = stage_file_pair(src, tgt, &opts).unwrap();
     let outcome = Affidavit::new(cfg.clone()).explain(&mut instance);
     format!(
-        "{}\n{};{};{};{};{};{}",
+        "{}\n{};{};{};{}",
         render_report(&outcome.explanation, &instance),
         outcome.stats.polled,
         outcome.stats.expansions,
         outcome.stats.states_generated,
-        outcome.stats.speculative_expansions,
-        outcome.stats.speculation_discarded,
         outcome.stats.end_state_cost.to_bits(),
     )
 }
@@ -266,14 +264,6 @@ fn the_registry_mirrors_search_stats_exactly() {
     assert_eq!(
         m.counter("search_states_generated"),
         outcome.stats.states_generated as u64
-    );
-    assert_eq!(
-        m.counter("search_speculative_expansions"),
-        outcome.stats.speculative_expansions as u64
-    );
-    assert_eq!(
-        m.counter("search_speculation_discarded"),
-        outcome.stats.speculation_discarded as u64
     );
     assert_eq!(
         m.gauge("search_end_state_cost"),

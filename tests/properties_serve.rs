@@ -67,7 +67,6 @@ fn one_shot(spec: &ExplainSpec) -> (String, u64, u64) {
             backend: spec.pool_backend.parse().unwrap(),
             budget_bytes: spec.pool_budget_bytes,
         },
-        executor: None,
     };
     let mut instance =
         stage_file_pair(Path::new(&spec.source), Path::new(&spec.target), &opts).unwrap();
