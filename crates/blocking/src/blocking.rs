@@ -100,6 +100,26 @@ fn split_block<I: Interner>(
     }
 }
 
+/// The count slot of `key` for the block stamped `stamp`, reset (and
+/// `key` recorded in `order`) on the block's first sight of it.
+fn count_slot<'a>(
+    counts: &'a mut Vec<[u32; 3]>,
+    order: &mut Vec<Sym>,
+    stamp: u32,
+    key: Sym,
+) -> &'a mut [u32; 3] {
+    let i = key.index();
+    if i >= counts.len() {
+        counts.resize((i + 1).next_power_of_two(), [0; 3]);
+    }
+    let slot = &mut counts[i];
+    if slot[0] != stamp {
+        *slot = [stamp, 0, 0];
+        order.push(key);
+    }
+    slot
+}
+
 impl Blocking {
     /// The root blocking of the empty assignment `H^∅ = (∗, …, ∗)`: a
     /// single block containing every record.
@@ -153,6 +173,65 @@ impl Blocking {
             );
         }
         out
+    }
+
+    /// The `(ct(), cs())` of [`refine`](Blocking::refine)'s result,
+    /// counted without building it.
+    ///
+    /// The search scores every candidate child but refines only the few
+    /// it polls; the cost reads just these two bounds. Application and
+    /// interning follow `refine` exactly — memo reset on entry, then per
+    /// block every source in order, then the targets — so `pool` and
+    /// `scratch` end in the same state as after `refine`, and a later
+    /// `refine` of the same child interns nothing.
+    pub fn refine_bounds<I: Interner>(
+        &self,
+        attr: AttrId,
+        func: &AttrFunction,
+        scratch: &mut ApplyScratch,
+        source: &Table,
+        target: &Table,
+        pool: &mut I,
+    ) -> (u64, u64) {
+        scratch.begin();
+        let src_col = source.column(attr);
+        let tgt_col = target.column(attr);
+        let (mut ct, mut cs) = (0u64, self.dead_src.len() as u64);
+        // `[block stamp, sources, targets]` per key, indexed by symbol: a
+        // slot counts for the current block only if it carries its stamp,
+        // so moving to the next block resets every key at once.
+        let mut counts: Vec<[u32; 3]> = Vec::new();
+        let mut order: Vec<Sym> = Vec::new();
+        for (stamp, block) in (1u32..).zip(&self.blocks) {
+            if block.tgt.is_empty() {
+                // Every source is surplus or dead; apply only for the
+                // pool side effect.
+                for &sid in &block.src {
+                    scratch.apply(func, src_col[sid.index()], pool);
+                }
+                cs += block.src.len() as u64;
+                continue;
+            }
+            if block.src.is_empty() {
+                ct += block.tgt.len() as u64;
+                continue;
+            }
+            for &sid in &block.src {
+                match scratch.apply(func, src_col[sid.index()], pool) {
+                    Some(key) => count_slot(&mut counts, &mut order, stamp, key)[1] += 1,
+                    None => cs += 1,
+                }
+            }
+            for &tid in &block.tgt {
+                count_slot(&mut counts, &mut order, stamp, tgt_col[tid.index()])[2] += 1;
+            }
+            for key in order.drain(..) {
+                let [_, s, t] = counts[key.index()];
+                ct += u64::from(t.saturating_sub(s));
+                cs += u64::from(s.saturating_sub(t));
+            }
+        }
+        (ct, cs)
     }
 
     /// [`refine`](Blocking::refine), fanned out over the input blocks —
@@ -286,6 +365,10 @@ impl Blocking {
         let mut distinct: FxHashSet<Sym> = FxHashSet::default();
         let mut max = 0usize;
         for block in self.mixed_blocks() {
+            // A block holds at most as many distinct values as sources.
+            if block.src.len() <= max {
+                continue;
+            }
             distinct.clear();
             for &sid in &block.src {
                 distinct.insert(source.value(sid, attr));

@@ -38,6 +38,7 @@ impl Default for OverlapConfig {
 /// attributes should be assigned `id`; an empty result means no informative
 /// overlap was found (the caller falls back to `H^∅` semantics).
 pub fn overlap_start_attrs(source: &Table, target: &Table, cfg: OverlapConfig) -> Vec<AttrId> {
+    let _span = affidavit_obs::span("blocking.overlap");
     let arity = source.schema().arity();
     if source.is_empty() || target.is_empty() || arity == 0 {
         return Vec::new();

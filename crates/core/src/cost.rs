@@ -41,9 +41,12 @@ pub fn cf(assignments: &[Assignment]) -> u64 {
 
 /// The `max(ct, cs − Δ)` lower bound on `|T^E+|`, clamped at 0.
 pub fn record_bound(blocking: &Blocking, delta: i64) -> u64 {
-    let ct = blocking.ct() as i64;
-    let cs = blocking.cs() as i64;
-    ct.max(cs - delta).max(0) as u64
+    bound_from_counts((blocking.ct(), blocking.cs()), delta)
+}
+
+/// [`record_bound`] from a blocking's `(ct, cs)` alone.
+fn bound_from_counts((ct, cs): (u64, u64), delta: i64) -> u64 {
+    (ct as i64).max(cs as i64 - delta).max(0) as u64
 }
 
 /// Cost of the child that extends `parent` by assigning a function with
@@ -60,7 +63,28 @@ pub fn child_state_cost(
     alpha: f64,
     arity: usize,
 ) -> f64 {
-    let records = record_bound(blocking, delta) as f64;
+    child_state_cost_from_counts(
+        parent,
+        func_psi,
+        (blocking.ct(), blocking.cs()),
+        delta,
+        alpha,
+        arity,
+    )
+}
+
+/// [`child_state_cost`] from the child blocking's `(ct, cs)` — all the
+/// cost reads of it, so a child can be scored from
+/// `Blocking::refine_bounds` without building its blocks.
+pub fn child_state_cost_from_counts(
+    parent: &[Assignment],
+    func_psi: u64,
+    counts: (u64, u64),
+    delta: i64,
+    alpha: f64,
+    arity: usize,
+) -> f64 {
+    let records = bound_from_counts(counts, delta) as f64;
     let funcs = (cf(parent) + func_psi) as f64;
     2.0 * alpha * (arity as f64) * records + 2.0 * (1.0 - alpha) * funcs
 }

@@ -1,5 +1,5 @@
 //! State extension — the `Extensions(H)` procedure of Algorithm 1, as a
-//! parallel two-phase engine.
+//! parallel two-phase engine that refines only what gets polled.
 //!
 //! For a polled state, the β most determined undecided attributes are
 //! tried: candidate functions are induced from block-sampled examples,
@@ -14,10 +14,15 @@
 //!
 //! **Phase 1 (parallel, read-only):** every attribute of the β-batch is
 //! expanded by an independent worker against the *frozen* shared state
-//! (`SearchCtx`): greedy benchmark, candidate induction, ranking and
-//! child blocking/cost all run on a per-worker `WorkerScratch` — an
-//! interning overlay over the frozen pool plus a per-attribute seeded
-//! RNG. Workers share nothing mutable.
+//! (`SearchCtx`): greedy benchmark, candidate induction and ranking run
+//! on a per-worker `WorkerScratch` — an interning overlay over the frozen
+//! pool, an application memo and a per-attribute seeded RNG. Workers
+//! share nothing mutable. Each child (the benchmark and every ranked
+//! candidate) is **scored by counting**: the state cost c(H) (Def. 4.6)
+//! reads only ψ and the block cardinalities, so
+//! `Blocking::refine_bounds` yields the child's `(ct, cs)` without
+//! building a single block. It applies and interns in `refine`'s exact
+//! per-record order, so the worker's overlay ends as if it had refined.
 //!
 //! **Phase 2 (sequential merge):** the driver walks the results in batch
 //! order, absorbs each worker's newly interned strings into the shared
@@ -25,6 +30,18 @@
 //! state ids and records trace nodes. Because both the per-worker RNG
 //! streams and the merge order are independent of scheduling, the search
 //! is byte-identical at every thread count.
+//!
+//! # Refinement on poll
+//!
+//! A scored child shares its parent's blocking and records the attribute
+//! still to refine in [`SearchState::pending`]; its function already sits
+//! in its assignments. The ϱ-bounded queue (§4.6) drops most children
+//! unpolled, so the driver builds a blocking only right after polling a
+//! state (`materialize`), before the end-state check, expansion and
+//! finalization. The counting pass already interned every value that
+//! refinement produces, so it leaves the pool untouched. The `H^id`
+//! start states are scored the same way; the overlap start chain and ⊞
+//! finalization refine eagerly (`make_child`).
 
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -34,37 +51,45 @@ use affidavit_blocking::{greedy_map_from_alignment, sample_random_alignment, Blo
 use affidavit_functions::AttrFunction;
 use affidavit_table::{AttrId, RecordId};
 
-use crate::cost::child_state_cost;
+use crate::cost::{child_state_cost_from_counts, state_cost};
 use crate::induction::{induce_candidates, InductionParams};
 use crate::ranking::rank_candidates;
-use crate::search::{Ctx, SearchCtx};
+use crate::search::{Ctx, SearchCtx, WorkerScratch};
 use crate::state::{Assignment, SearchState};
 use crate::trace::TraceNode;
 
 /// Create the child of `state` that assigns `func` to `attr`, refining the
 /// blocking and computing the child's cost. Driver-side (sequential) path:
-/// interns directly into the shared pool.
+/// interns directly into the shared pool. The overlap start chain and ⊞
+/// finalization build their states this way, eagerly.
 pub(crate) fn make_child(
     ctx: &mut Ctx<'_>,
     state: &SearchState,
     attr: usize,
     func: AttrFunction,
 ) -> SearchState {
-    // Driver-side refinements (start states, ⊞ finalization) touch every
-    // live record; above the fan-out threshold, split the work over the
-    // worker pool — `refine_parallel` is byte-identical to the serial
-    // path, including the shared pool's contents.
-    let records = state.blocking.live_sources() + state.blocking.total_targets();
-    let blocking = if ctx.cfg.threads != 1 && records >= ctx.cfg.parallel_min_records {
-        state.blocking.refine_parallel(
-            AttrId(attr as u32),
-            &func,
-            &ctx.instance.source,
-            &ctx.instance.target,
-            &mut ctx.instance.pool,
-        )
-    } else {
-        state.blocking.refine(
+    let blocking = refine_on_driver(ctx, &state.blocking, attr, &func);
+    let cost = child_cost(
+        ctx.search_ctx().cost_params(),
+        state,
+        &func,
+        (blocking.ct(), blocking.cs()),
+    );
+    register_child(ctx, state, attr, func, Some(blocking), cost)
+}
+
+/// Create the child of `state` that assigns `func` to `attr`, scored by a
+/// counting pass: its blocking is built only if the driver polls it (see
+/// [`materialize`]). Driver-side; the `H^id` start states use it.
+pub(crate) fn make_pending_child(
+    ctx: &mut Ctx<'_>,
+    state: &SearchState,
+    attr: usize,
+    func: AttrFunction,
+) -> SearchState {
+    let counts = {
+        let _span = affidavit_obs::span("expand.score");
+        state.blocking.refine_bounds(
             AttrId(attr as u32),
             &func,
             &mut ctx.scratch,
@@ -73,8 +98,75 @@ pub(crate) fn make_child(
             &mut ctx.instance.pool,
         )
     };
-    let cost = child_cost(ctx.search_ctx().cost_params(), state, &func, &blocking);
-    register_child(ctx, state, attr, func, blocking, cost)
+    let cost = child_cost(ctx.search_ctx().cost_params(), state, &func, counts);
+    register_child(ctx, state, attr, func, None, cost)
+}
+
+/// Build the blocking of a polled state that still shares its parent's:
+/// refine it on the pending attribute. The counting pass that scored the
+/// child already interned every value this refinement produces, so the
+/// pool does not grow, and the cost it was queued under is exact.
+pub(crate) fn materialize(ctx: &mut Ctx<'_>, mut state: SearchState) -> SearchState {
+    let Some(attr) = state.pending.take() else {
+        return state;
+    };
+    let _span = affidavit_obs::span("search.materialize");
+    let Assignment::Assigned(func) = &state.assignments[attr] else {
+        unreachable!("a pending attribute carries its assigned function");
+    };
+    let pool_len = ctx.instance.pool.len();
+    let blocking = refine_on_driver(ctx, &state.blocking, attr, func);
+    debug_assert_eq!(
+        ctx.instance.pool.len(),
+        pool_len,
+        "poll-time refinement must intern nothing"
+    );
+    debug_assert_eq!(
+        state_cost(
+            &state.assignments,
+            &blocking,
+            ctx.delta,
+            ctx.cfg.alpha,
+            ctx.arity
+        ),
+        state.cost,
+        "counted and refined child costs must agree"
+    );
+    state.blocking = Arc::new(blocking);
+    state
+}
+
+/// Refine `parent` on `attr` under `func` on the driver, interning into
+/// the shared pool.
+fn refine_on_driver(
+    ctx: &mut Ctx<'_>,
+    parent: &Blocking,
+    attr: usize,
+    func: &AttrFunction,
+) -> Blocking {
+    // Driver-side refinements touch every live record; above the fan-out
+    // threshold, split the work over the worker pool — `refine_parallel`
+    // is byte-identical to the serial path, including the shared pool's
+    // contents.
+    let records = parent.live_sources() + parent.total_targets();
+    if ctx.cfg.threads != 1 && records >= ctx.cfg.parallel_min_records {
+        parent.refine_parallel(
+            AttrId(attr as u32),
+            func,
+            &ctx.instance.source,
+            &ctx.instance.target,
+            &mut ctx.instance.pool,
+        )
+    } else {
+        parent.refine(
+            AttrId(attr as u32),
+            func,
+            &mut ctx.scratch,
+            &ctx.instance.source,
+            &ctx.instance.target,
+            &mut ctx.instance.pool,
+        )
+    }
 }
 
 /// The `(delta, alpha, arity)` triple `child_cost` needs, extracted so
@@ -97,35 +189,37 @@ impl SearchCtx<'_> {
 }
 
 /// Cost of the child of `state` assigning `func` to a previously open
-/// attribute, over `blocking`. ψ of a function does not read the pool, so
-/// this is valid for functions still carrying scratch symbols, and it is
-/// computed incrementally — no assignment-vector clone.
+/// attribute, from the child blocking's `(ct, cs)`. ψ of a function does
+/// not read the pool, so this is valid for functions still carrying
+/// scratch symbols, and it is computed incrementally — no
+/// assignment-vector clone.
 fn child_cost(
     params: CostParams,
     state: &SearchState,
     func: &AttrFunction,
-    blocking: &Blocking,
+    counts: (u64, u64),
 ) -> f64 {
-    child_state_cost(
+    child_state_cost_from_counts(
         &state.assignments,
         func.psi(),
-        blocking,
+        counts,
         params.delta,
         params.alpha,
         params.arity,
     )
 }
 
-/// Driver-side: materialize a child state from already-computed parts,
+/// Driver-side: create a child state from already-computed parts,
 /// assigning its id and recording trace/stat bookkeeping. This is the
 /// single point where extension results enter shared search state, and it
-/// runs in deterministic merge order.
+/// runs in deterministic merge order. Without a `blocking` the child
+/// shares its parent's and records `attr` as pending.
 fn register_child(
     ctx: &mut Ctx<'_>,
     state: &SearchState,
     attr: usize,
     func: AttrFunction,
-    blocking: Blocking,
+    blocking: Option<Blocking>,
     cost: f64,
 ) -> SearchState {
     // `cost` was computed incrementally as cf(parent) + ψ(func), which is
@@ -158,12 +252,17 @@ fn register_child(
                 .all(|a| matches!(a, Assignment::Assigned(_))),
         });
     }
+    let (blocking, pending) = match blocking {
+        Some(blocking) => (Arc::new(blocking), None),
+        None => (Arc::clone(&state.blocking), Some(attr)),
+    };
     SearchState {
         assignments,
-        blocking: Arc::new(blocking),
+        blocking,
         cost,
         id,
         parent: Some(state.id),
+        pending,
     }
 }
 
@@ -171,6 +270,7 @@ fn register_child(
 /// ties towards the lower attribute index) — the `Order-By-Indeterminacy`
 /// step.
 fn order_by_indeterminacy(source: &affidavit_table::Table, state: &SearchState) -> Vec<usize> {
+    let _span = affidavit_obs::span("expand.order");
     let mut attrs = state.undecided_attrs();
     let keys: Vec<usize> = attrs
         .iter()
@@ -182,12 +282,10 @@ fn order_by_indeterminacy(source: &affidavit_table::Table, state: &SearchState) 
     attrs
 }
 
-/// One candidate child computed by a worker: function (possibly carrying
-/// scratch symbols), refined blocking and cost. Blockings store only
-/// record ids, so they are valid globally as-is.
+/// One candidate child scored by a worker: function (possibly carrying
+/// scratch symbols) and cost. Its blocking is built only if it is polled.
 struct CandChild {
     func: AttrFunction,
-    blocking: Blocking,
     cost: f64,
     /// Beat the greedy benchmark (only such children enter the frontier;
     /// the rest still get trace nodes, as in the sequential engine).
@@ -217,25 +315,33 @@ fn expand_attr(
 ) -> AttrExpansion {
     let mut ws = sctx.scratch_for(state.id, attr);
     let params = sctx.cost_params();
+    let score = |func: &AttrFunction, ws: &mut WorkerScratch<'_>| {
+        let _span = affidavit_obs::span("expand.score");
+        let counts = state.blocking.refine_bounds(
+            AttrId(attr as u32),
+            func,
+            &mut ws.apply,
+            sctx.source,
+            sctx.target,
+            &mut ws.pool,
+        );
+        child_cost(params, state, func, counts)
+    };
 
     // The greedy-map benchmark Hд. An empty map (every aligned value
     // already agrees) is the identity — normalize so explanations never
     // show `map{}`.
-    let gmap = greedy_map_from_alignment(alignment, AttrId(attr as u32), sctx.source, sctx.target);
-    let g_func = if gmap.is_empty() {
-        AttrFunction::Identity
-    } else {
-        AttrFunction::Map(gmap)
+    let g_func = {
+        let _span = affidavit_obs::span("expand.greedy_map");
+        let gmap =
+            greedy_map_from_alignment(alignment, AttrId(attr as u32), sctx.source, sctx.target);
+        if gmap.is_empty() {
+            AttrFunction::Identity
+        } else {
+            AttrFunction::Map(gmap)
+        }
     };
-    let g_blocking = state.blocking.refine(
-        AttrId(attr as u32),
-        &g_func,
-        &mut ws.apply,
-        sctx.source,
-        sctx.target,
-        &mut ws.pool,
-    );
-    let g_cost = child_cost(params, state, &g_func, &g_blocking);
+    let g_cost = score(&g_func, &mut ws);
 
     // Induce and rank candidates for this attribute.
     let induction = InductionParams {
@@ -254,36 +360,32 @@ fn expand_attr(
         induction,
         &mut ws.rng,
     );
-    let ranked = rank_candidates(
-        &state.blocking,
-        AttrId(attr as u32),
-        cands.into_iter().map(|c| c.func).collect(),
-        sctx.source,
-        sctx.target,
-        &mut ws.pool,
-        sctx.k_rank,
-        sctx.cfg.beta.max(1),
-        &mut ws.rng,
-    );
-
-    let mut children = Vec::new();
-    for rc in ranked {
-        let blocking = state.blocking.refine(
+    let ranked = {
+        let _span = affidavit_obs::span("expand.rank");
+        rank_candidates(
+            &state.blocking,
             AttrId(attr as u32),
-            &rc.func,
-            &mut ws.apply,
+            cands.into_iter().map(|c| c.func).collect(),
             sctx.source,
             sctx.target,
             &mut ws.pool,
-        );
-        let cost = child_cost(params, state, &rc.func, &blocking);
-        children.push(CandChild {
-            func: rc.func,
-            blocking,
-            cost,
-            kept: cost < g_cost,
-        });
-    }
+            sctx.k_rank,
+            sctx.cfg.beta.max(1),
+            &mut ws.rng,
+        )
+    };
+
+    let children = ranked
+        .into_iter()
+        .map(|rc| {
+            let cost = score(&rc.func, &mut ws);
+            CandChild {
+                func: rc.func,
+                cost,
+                kept: cost < g_cost,
+            }
+        })
+        .collect();
 
     AttrExpansion {
         attr,
@@ -291,7 +393,6 @@ fn expand_attr(
         new_strings: ws.pool.take_new_strings(),
         greedy: CandChild {
             func: g_func,
-            blocking: g_blocking,
             cost: g_cost,
             kept: false,
         },
@@ -363,7 +464,7 @@ fn consume_state_expansion(
             state,
             part.attr,
             part.greedy.func.remap(&remap),
-            part.greedy.blocking,
+            None,
             part.greedy.cost,
         );
         for cand in part.ranked {
@@ -372,7 +473,7 @@ fn consume_state_expansion(
                 state,
                 part.attr,
                 cand.func.remap(&remap),
-                cand.blocking,
+                None,
                 cand.cost,
             );
             if cand.kept {
@@ -477,6 +578,76 @@ mod tests {
         let seq = describe(1);
         let par = describe(4);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn polled_children_are_refined_without_interning() {
+        // Noise sources whose scaled values no target carries: scoring
+        // `Val ← x/1000` interns new strings, which the driver absorbs
+        // before any child is polled.
+        let mut pool = ValuePool::new();
+        let mut rows_s: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![format!("k{i}"), format!("{}", i * 1000)])
+            .collect();
+        rows_s.push(vec!["gone".into(), "123457".into()]);
+        rows_s.push(vec!["lost".into(), "98765".into()]);
+        let rows_t: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![format!("k{i}"), format!("{i}")])
+            .collect();
+        let s = Table::from_rows(Schema::new(["k", "Val"]), &mut pool, rows_s);
+        let t = Table::from_rows(Schema::new(["k", "Val"]), &mut pool, rows_t);
+        let mut inst = ProblemInstance::new(s, t, pool).unwrap();
+        let cfg = AffidavitConfig::paper_id();
+        let mut ctx = Ctx::new(&mut inst, &cfg);
+        let root = ctx.root_state();
+        let start = make_child(&mut ctx, &root, 0, AttrFunction::Identity);
+        let before_expansion = ctx.instance.pool.len();
+        let exts = extensions(&mut ctx, &start);
+        assert!(
+            ctx.instance.pool.len() > before_expansion,
+            "scoring must have interned the noise's scaled values"
+        );
+        assert!(!exts.is_empty());
+        for child in exts {
+            let attr = child.pending.expect("expansion children are pending");
+            assert!(Arc::ptr_eq(&child.blocking, &start.blocking));
+            let Assignment::Assigned(func) = child.assignments[attr].clone() else {
+                panic!("pending attribute without a function");
+            };
+            let pool_len = ctx.instance.pool.len();
+            let polled = materialize(&mut ctx, child);
+            assert_eq!(ctx.instance.pool.len(), pool_len, "materialize interned");
+            assert_eq!(polled.pending, None);
+            // The same blocking and cost as building the child eagerly.
+            let eager = make_child(&mut ctx, &start, attr, func);
+            let shape = |st: &SearchState| {
+                st.blocking
+                    .blocks
+                    .iter()
+                    .map(|b| (b.src.clone(), b.tgt.clone()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(shape(&polled), shape(&eager));
+            assert_eq!(polled.blocking.dead_src, eager.blocking.dead_src);
+            assert_eq!(polled.cost, eager.cost);
+        }
+    }
+
+    #[test]
+    fn id_start_states_are_scored_without_refining() {
+        let mut inst = instance();
+        let cfg = AffidavitConfig::paper_id();
+        let mut ctx = Ctx::new(&mut inst, &cfg);
+        let root = ctx.root_state();
+        for attr in 0..3 {
+            let pending = make_pending_child(&mut ctx, &root, attr, AttrFunction::Identity);
+            let eager = make_child(&mut ctx, &root, attr, AttrFunction::Identity);
+            assert_eq!(pending.pending, Some(attr));
+            assert!(Arc::ptr_eq(&pending.blocking, &root.blocking));
+            assert_eq!(pending.cost, eager.cost);
+            let polled = materialize(&mut ctx, pending);
+            assert_eq!(polled.blocking.len(), eager.blocking.len());
+        }
     }
 
     #[test]

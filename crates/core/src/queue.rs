@@ -145,6 +145,7 @@ mod tests {
             cost,
             id,
             parent: None,
+            pending: None,
         }
     }
 

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use crate::config::{AffidavitConfig, InitStrategy};
 use crate::cost::state_cost;
 use crate::explanation::Explanation;
-use crate::extend::{extensions, make_child};
+use crate::extend::{extensions, make_child, make_pending_child, materialize};
 use crate::finalize::finalize;
 use crate::instance::ProblemInstance;
 use crate::queue::BoundedLevelQueue;
@@ -232,6 +232,7 @@ impl<'a> Ctx<'a> {
             cost,
             id,
             parent: None,
+            pending: None,
         }
     }
 
@@ -245,7 +246,7 @@ impl<'a> Ctx<'a> {
                     return vec![root];
                 }
                 (0..self.arity)
-                    .map(|a| make_child(self, &root, a, AttrFunction::Identity))
+                    .map(|a| make_pending_child(self, &root, a, AttrFunction::Identity))
                     .collect()
             }
             InitStrategy::Overlap => {
@@ -365,6 +366,9 @@ impl Affidavit {
                 };
                 break finalize(&mut ctx, &basis);
             };
+            // Children are queued scored but unrefined; only the polled
+            // one gets its blocking.
+            let state = materialize(&mut ctx, state);
             ctx.stats.polled += 1;
             if let Some(trace) = ctx.trace.as_mut() {
                 trace.mark_polled(state.id);

@@ -33,8 +33,9 @@ impl Assignment {
 pub struct SearchState {
     /// One assignment per attribute.
     pub assignments: Vec<Assignment>,
-    /// The blocking result Φ^H under the assigned functions (shared with
-    /// children until they refine it).
+    /// The blocking result Φ^H under the assigned functions — or, while
+    /// [`pending`](SearchState::pending) names an attribute, the parent's
+    /// blocking, still to be refined on that attribute.
     pub blocking: Arc<Blocking>,
     /// `c(H)` per Def. 4.6 (see `cost` module for normalization notes).
     pub cost: f64,
@@ -42,6 +43,11 @@ pub struct SearchState {
     pub id: usize,
     /// Id of the parent state, if any.
     pub parent: Option<usize>,
+    /// The attribute `blocking` is not yet refined on. A child is scored
+    /// by counting (`cost` is already exact) and shares its parent's
+    /// blocking until the driver polls it; its function is the one
+    /// assigned in `assignments`. `None` once the blocking is built.
+    pub pending: Option<usize>,
 }
 
 impl SearchState {
@@ -96,6 +102,7 @@ mod tests {
             cost: 0.0,
             id: 0,
             parent: None,
+            pending: None,
         }
     }
 

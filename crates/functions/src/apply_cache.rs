@@ -58,13 +58,44 @@ impl From<AttrFunction> for AppliedFunction {
 /// Where [`AppliedFunction`] owns one memo per wrapped function,
 /// `ApplyScratch` is owned by a search worker and reused across all the
 /// blocking refinements that worker performs: `begin` resets it for the
-/// next function without dropping the allocation. Keys are input `Sym`s —
-/// every distinct value is transformed at most once per function, which is
-/// what keeps Algorithm 1's refine-and-cost loop linear in distinct
-/// values rather than records.
-#[derive(Debug, Default)]
+/// next function in O(1). Keys are input `Sym`s — every distinct value is
+/// transformed at most once per function, which is what keeps Algorithm
+/// 1's refine-and-cost loop linear in distinct values rather than records.
+///
+/// Inputs are table values, dense `u32`s below the pool length, so the
+/// memo is a table indexed by symbol rather than a hash map. Each slot
+/// carries the epoch that wrote it; `begin` moves to a new epoch, which
+/// invalidates every slot at once.
+#[derive(Debug)]
 pub struct ApplyScratch {
-    memo: FxHashMap<Sym, Option<Sym>>,
+    slots: Vec<Slot>,
+    /// Slots stamped with this epoch hold the current function's results.
+    epoch: u32,
+    /// Number of inputs memoized in the current epoch.
+    len: usize,
+}
+
+/// One memo entry: the epoch that wrote it and the result, with
+/// [`Slot::NONE`] standing for an inapplicable input.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    epoch: u32,
+    out: u32,
+}
+
+impl Slot {
+    const NONE: u32 = u32::MAX;
+}
+
+impl Default for ApplyScratch {
+    fn default() -> ApplyScratch {
+        // Epoch 0 marks the never-written slots a resize fills in.
+        ApplyScratch {
+            slots: Vec::new(),
+            epoch: 1,
+            len: 0,
+        }
+    }
 }
 
 impl ApplyScratch {
@@ -75,7 +106,12 @@ impl ApplyScratch {
 
     /// Reset for a new function, keeping the allocation.
     pub fn begin(&mut self) {
-        self.memo.clear();
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
     }
 
     /// Apply `func` with memoization against this scratch. The caller is
@@ -83,11 +119,22 @@ impl ApplyScratch {
     /// functions.
     #[inline]
     pub fn apply<I: Interner>(&mut self, func: &AttrFunction, x: Sym, pool: &mut I) -> Option<Sym> {
-        if let Some(&cached) = self.memo.get(&x) {
-            return cached;
+        let i = x.index();
+        if let Some(slot) = self.slots.get(i) {
+            if slot.epoch == self.epoch {
+                return (slot.out != Slot::NONE).then_some(Sym(slot.out));
+            }
+        } else {
+            self.slots
+                .resize((i + 1).next_power_of_two(), Slot::default());
         }
         let result = func.apply(x, pool);
-        self.memo.insert(x, result);
+        debug_assert!(result != Some(Sym(Slot::NONE)), "symbol space exhausted");
+        self.slots[i] = Slot {
+            epoch: self.epoch,
+            out: result.map_or(Slot::NONE, |y| y.0),
+        };
+        self.len += 1;
         result
     }
 
@@ -123,7 +170,7 @@ impl ApplyScratch {
 
     /// Number of memoized inputs.
     pub fn memo_len(&self) -> usize {
-        self.memo.len()
+        self.len
     }
 }
 
@@ -162,6 +209,47 @@ mod tests {
         assert_eq!(out[0], out[3]);
         // Memo keyed per column: 3 distinct inputs, one application each.
         assert_eq!(scratch.memo_len(), 3);
+    }
+
+    #[test]
+    fn begin_forgets_the_previous_function() {
+        let mut pool = ValuePool::new();
+        let x = pool.intern("80000");
+        let mut scratch = ApplyScratch::new();
+        let scale = AttrFunction::Scale(Rational::new(1, 1000).unwrap());
+        let scaled = scratch.apply(&scale, x, &mut pool);
+        assert_ne!(scaled, Some(x));
+        scratch.begin();
+        assert_eq!(scratch.memo_len(), 0);
+        assert_eq!(
+            scratch.apply(&AttrFunction::Identity, x, &mut pool),
+            Some(x)
+        );
+        // Inapplicable inputs are memoized as such, not as a symbol.
+        let text = pool.intern("IBM");
+        scratch.begin();
+        assert_eq!(scratch.apply(&scale, text, &mut pool), None);
+        assert_eq!(scratch.apply(&scale, text, &mut pool), None);
+        assert_eq!(scratch.memo_len(), 1);
+    }
+
+    #[test]
+    fn epoch_wraparound_clears_stale_slots() {
+        let mut pool = ValuePool::new();
+        let x = pool.intern("7");
+        let mut scratch = ApplyScratch::new();
+        let constant = AttrFunction::Constant(pool.intern("c"));
+        assert_ne!(scratch.apply(&constant, x, &mut pool), Some(x));
+        // After 2^32 − 1 more functions the epoch counter comes back to
+        // the stamp of that slot: wrapping must clear every slot, or the
+        // old result would be reused.
+        scratch.epoch = u32::MAX;
+        scratch.begin();
+        assert_eq!(scratch.epoch, 1);
+        assert_eq!(
+            scratch.apply(&AttrFunction::Identity, x, &mut pool),
+            Some(x)
+        );
     }
 
     #[test]

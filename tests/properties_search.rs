@@ -21,6 +21,7 @@ fn mk_state(id: usize, level: usize, cost: f64) -> SearchState {
         cost,
         id,
         parent: None,
+        pending: None,
     }
 }
 
