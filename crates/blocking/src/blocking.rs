@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use affidavit_functions::{ApplyScratch, AttrFunction};
-use affidavit_table::{
-    AttrId, FxHashMap, FxHashSet, Interner, RecordId, ScratchPool, Sym, Table, ValuePool,
-};
+use affidavit_table::{AttrId, Interner, RecordId, ScratchPool, Sym, Table, ValuePool};
 use rayon::prelude::*;
+
+use crate::slots::StampedSlots;
 
 /// One block φ(κ): the source and target records sharing a blocking index.
 #[derive(Debug, Clone, Default)]
@@ -52,8 +52,8 @@ pub struct Blocking {
 /// Split one parent block by the transformed source value vs. the raw
 /// target value of `attr`, appending the resulting sub-blocks (in
 /// first-seen key order) to `out_blocks` and inapplicable sources to
-/// `dead`. `groups`/`order` are caller-provided workhorse buffers (left
-/// drained) so the serial path can reuse one allocation across blocks.
+/// `dead`. `groups` is the caller's key → sub-block table, reused across
+/// blocks so the serial path keeps one allocation.
 #[allow(clippy::too_many_arguments)]
 fn split_block<I: Interner>(
     block: &Block,
@@ -63,8 +63,7 @@ fn split_block<I: Interner>(
     source: &Table,
     target: &Table,
     pool: &mut I,
-    groups: &mut FxHashMap<Sym, Block>,
-    order: &mut Vec<Sym>,
+    groups: &mut StampedSlots<usize>,
     out_blocks: &mut Vec<Block>,
     dead: &mut Vec<RecordId>,
 ) {
@@ -73,48 +72,41 @@ fn split_block<I: Interner>(
     // unchanged, so pool evolution is byte-identical to the row walk.
     let src_col = source.column(attr);
     let tgt_col = target.column(attr);
+    groups.begin();
     for &sid in &block.src {
         let raw = src_col[sid.index()];
         match scratch.apply(func, raw, pool) {
-            Some(key) => {
-                let entry = groups.entry(key).or_insert_with(|| {
-                    order.push(key);
-                    Block::default()
-                });
-                entry.src.push(sid);
-            }
+            Some(key) => group(groups, out_blocks, key).src.push(sid),
             None => dead.push(sid),
         }
     }
     for &tid in &block.tgt {
-        let key = tgt_col[tid.index()];
-        let entry = groups.entry(key).or_insert_with(|| {
-            order.push(key);
-            Block::default()
-        });
-        entry.tgt.push(tid);
-    }
-    for key in order.drain(..) {
-        let b = groups.remove(&key).expect("key was inserted above");
-        out_blocks.push(b);
+        group(groups, out_blocks, tgt_col[tid.index()])
+            .tgt
+            .push(tid);
     }
 }
 
-/// The count slot of `key` for the block stamped `stamp`, reset (and
-/// `key` recorded in `order`) on the block's first sight of it.
-fn count_slot<'a>(
-    counts: &'a mut Vec<[u32; 3]>,
-    order: &mut Vec<Sym>,
-    stamp: u32,
-    key: Sym,
-) -> &'a mut [u32; 3] {
-    let i = key.index();
-    if i >= counts.len() {
-        counts.resize((i + 1).next_power_of_two(), [0; 3]);
+/// The sub-block of `key` in the block being split, appended to `out` on
+/// the block's first sight of `key`.
+fn group<'a>(groups: &mut StampedSlots<usize>, out: &'a mut Vec<Block>, key: Sym) -> &'a mut Block {
+    let (slot, fresh) = groups.slot(key.index());
+    if fresh {
+        *slot = out.len();
+        out.push(Block::default());
     }
-    let slot = &mut counts[i];
-    if slot[0] != stamp {
-        *slot = [stamp, 0, 0];
+    &mut out[*slot]
+}
+
+/// The `[sources, targets]` count slot of `key` in the current block,
+/// with `key` recorded in `order` on the block's first sight of it.
+fn count_slot<'a>(
+    counts: &'a mut StampedSlots<[u32; 2]>,
+    order: &mut Vec<Sym>,
+    key: Sym,
+) -> &'a mut [u32; 2] {
+    let (slot, fresh) = counts.slot(key.index());
+    if fresh {
         order.push(key);
     }
     slot
@@ -154,9 +146,7 @@ impl Blocking {
             blocks: Vec::with_capacity(self.blocks.len()),
             dead_src: self.dead_src.clone(),
         };
-        // Workhorse map reused across blocks (cleared via drain).
-        let mut groups: FxHashMap<Sym, Block> = FxHashMap::default();
-        let mut order: Vec<Sym> = Vec::new();
+        let mut groups = StampedSlots::new();
         for block in &self.blocks {
             split_block(
                 block,
@@ -167,7 +157,6 @@ impl Blocking {
                 target,
                 pool,
                 &mut groups,
-                &mut order,
                 &mut out.blocks,
                 &mut out.dead_src,
             );
@@ -197,12 +186,11 @@ impl Blocking {
         let src_col = source.column(attr);
         let tgt_col = target.column(attr);
         let (mut ct, mut cs) = (0u64, self.dead_src.len() as u64);
-        // `[block stamp, sources, targets]` per key, indexed by symbol: a
-        // slot counts for the current block only if it carries its stamp,
-        // so moving to the next block resets every key at once.
-        let mut counts: Vec<[u32; 3]> = Vec::new();
+        // `[sources, targets]` per key of the current block, indexed by
+        // symbol; `begin` moves to the next block, resetting every key.
+        let mut counts = StampedSlots::new();
         let mut order: Vec<Sym> = Vec::new();
-        for (stamp, block) in (1u32..).zip(&self.blocks) {
+        for block in &self.blocks {
             if block.tgt.is_empty() {
                 // Every source is surplus or dead; apply only for the
                 // pool side effect.
@@ -216,17 +204,18 @@ impl Blocking {
                 ct += block.tgt.len() as u64;
                 continue;
             }
+            counts.begin();
             for &sid in &block.src {
                 match scratch.apply(func, src_col[sid.index()], pool) {
-                    Some(key) => count_slot(&mut counts, &mut order, stamp, key)[1] += 1,
+                    Some(key) => count_slot(&mut counts, &mut order, key)[0] += 1,
                     None => cs += 1,
                 }
             }
             for &tid in &block.tgt {
-                count_slot(&mut counts, &mut order, stamp, tgt_col[tid.index()])[2] += 1;
+                count_slot(&mut counts, &mut order, tgt_col[tid.index()])[1] += 1;
             }
             for key in order.drain(..) {
-                let [_, s, t] = counts[key.index()];
+                let [s, t] = *counts.slot(key.index()).0;
                 ct += u64::from(t.saturating_sub(s));
                 cs += u64::from(s.saturating_sub(t));
             }
@@ -286,8 +275,7 @@ impl Blocking {
                     let mut ws = ScratchPool::new(reader);
                     let mut scratch = ApplyScratch::new();
                     scratch.begin();
-                    let mut groups: FxHashMap<Sym, Block> = FxHashMap::default();
-                    let mut order: Vec<Sym> = Vec::new();
+                    let mut groups = StampedSlots::new();
                     let mut blocks = Vec::new();
                     let mut dead = Vec::new();
                     for block in &self.blocks[lo..hi] {
@@ -300,7 +288,6 @@ impl Blocking {
                             target,
                             &mut ws,
                             &mut groups,
-                            &mut order,
                             &mut blocks,
                             &mut dead,
                         );
@@ -362,18 +349,22 @@ impl Blocking {
     /// mixed blocks — an upper bound for how many source values compete as
     /// the origin of a target value.
     pub fn indeterminacy(&self, attr: AttrId, source: &Table) -> usize {
-        let mut distinct: FxHashSet<Sym> = FxHashSet::default();
+        let col = source.column(attr);
+        // One stamped slot per symbol: a value counts once per block.
+        let mut seen = StampedSlots::<()>::new();
         let mut max = 0usize;
         for block in self.mixed_blocks() {
             // A block holds at most as many distinct values as sources.
             if block.src.len() <= max {
                 continue;
             }
-            distinct.clear();
-            for &sid in &block.src {
-                distinct.insert(source.value(sid, attr));
-            }
-            max = max.max(distinct.len());
+            seen.begin();
+            let distinct = block
+                .src
+                .iter()
+                .filter(|sid| seen.slot(col[sid.index()].index()).1)
+                .count();
+            max = max.max(distinct);
         }
         max
     }

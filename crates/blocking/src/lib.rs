@@ -39,6 +39,7 @@ pub mod alignment;
 pub mod blocking;
 pub mod delta;
 pub mod overlap;
+mod slots;
 
 pub use alignment::{greedy_map_from_alignment, sample_random_alignment};
 pub use blocking::{Block, Blocking};

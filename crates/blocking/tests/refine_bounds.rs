@@ -1,64 +1,13 @@
 //! `Blocking::refine_bounds` must be `refine` without the blocks: the
 //! same `(ct, cs)` and the same interning, in the same order.
 
-use affidavit_blocking::{Block, Blocking};
-use affidavit_functions::{ApplyScratch, AttrFunction};
-use affidavit_table::{AttrId, Rational, RecordId, Schema, ScratchPool, Table, ValuePool};
+mod common;
+
+use affidavit_blocking::Blocking;
+use affidavit_functions::ApplyScratch;
+use affidavit_table::{AttrId, ScratchPool, ValuePool};
+use common::{blockings, functions, table};
 use proptest::prelude::*;
-
-/// Numbers and text mixed, so partial functions such as `Scale` leave
-/// some sources inapplicable (dead).
-const DOMAIN: [&str; 8] = ["10", "2500", "0.5", "7", "abc", "IBM", "x y", "70"];
-
-fn table(rows: &[[u8; 2]], pool: &mut ValuePool) -> Table {
-    let rows: Vec<Vec<&str>> = rows
-        .iter()
-        .map(|r| r.iter().map(|&v| DOMAIN[v as usize]).collect())
-        .collect();
-    Table::from_rows(Schema::new(["a", "b"]), pool, rows)
-}
-
-fn functions(pool: &mut ValuePool) -> Vec<AttrFunction> {
-    vec![
-        AttrFunction::Identity,
-        AttrFunction::Scale(Rational::new(1, 1000).unwrap()),
-        AttrFunction::Scale(Rational::new(3, 2).unwrap()),
-        AttrFunction::Uppercase,
-        AttrFunction::Constant(pool.intern("7")),
-    ]
-}
-
-/// The blocking shapes refinement must handle: the giant mixed root
-/// block, and a random partition interleaved with an empty block,
-/// source-only and target-only blocks, and inherited dead sources.
-fn blockings(s: &Table, t: &Table, src_block: &[u8], tgt_block: &[u8]) -> Vec<Blocking> {
-    const BLOCKS: usize = 4;
-    let mut partition = Blocking {
-        blocks: vec![Block::default(); BLOCKS],
-        dead_src: Vec::new(),
-    };
-    for (sid, &b) in s.record_ids().zip(src_block) {
-        match partition.blocks.get_mut(b as usize) {
-            Some(block) => block.src.push(sid),
-            None => partition.dead_src.push(sid),
-        }
-    }
-    for (tid, &b) in t.record_ids().zip(tgt_block) {
-        partition.blocks[b as usize % BLOCKS].tgt.push(tid);
-    }
-    partition.blocks.insert(1, Block::default());
-    partition.blocks.push(Block {
-        src: s.record_ids().take(2).collect(),
-        tgt: Vec::new(),
-    });
-    partition.blocks.push(Block {
-        src: Vec::new(),
-        tgt: t.record_ids().take(2).collect(),
-    });
-    let mut root = Blocking::root(s, t);
-    root.dead_src.push(RecordId(0));
-    vec![Blocking::root(s, t), root, partition]
-}
 
 proptest! {
     #[test]

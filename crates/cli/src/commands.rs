@@ -185,6 +185,22 @@ const DISTRIBUTED_FLAGS: &[&str] = &[
     "deadline-secs",
 ];
 
+/// Flags that never take a value: the next argument after one of them is
+/// always a positional or another flag.
+const SWITCHES: &[&str] = &[
+    "align",
+    "corpus",
+    "delta",
+    "extended",
+    "metrics",
+    "obs-summary",
+    "ping",
+    "server-stats",
+    "shutdown",
+    "stable",
+    "trace",
+];
+
 /// Simple positional + flag splitter.
 struct Parsed<'a> {
     positional: Vec<&'a str>,
@@ -221,7 +237,7 @@ fn split(args: &[String]) -> Parsed<'_> {
         if let Some(name) = args[i].strip_prefix("--") {
             let value = args
                 .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
+                .filter(|v| !SWITCHES.contains(&name) && !v.starts_with("--"))
                 .map(String::as_str);
             if value.is_some() {
                 i += 1;
@@ -1115,6 +1131,20 @@ mod tests {
         assert_eq!(p.flag_value("seed"), Some("9"));
         assert!(p.has("trace"));
         assert!(!p.has("sql"));
+    }
+
+    #[test]
+    fn switches_never_take_a_value() {
+        for switch in SWITCHES {
+            let args = argv(&[&format!("--{switch}"), "s.csv", "t.csv", "--seed", "5"]);
+            let p = split(&args);
+            assert_eq!(p.positional, vec!["s.csv", "t.csv"], "--{switch}");
+            assert_eq!(p.flag(switch), Some(None), "--{switch}");
+            assert_eq!(p.flag_value("seed"), Some("5"), "--{switch}");
+        }
+        // `--pin SRC TGT` keeps its value.
+        let args = argv(&["--pin", "s.csv", "t.csv"]);
+        assert_eq!(split(&args).flag_value("pin"), Some("s.csv"));
     }
 
     #[test]
