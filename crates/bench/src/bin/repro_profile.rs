@@ -240,17 +240,16 @@ fn main() {
 /// distributed profiler.
 #[derive(serde::Serialize)]
 struct DistRow {
-    /// `"fs"` (spool-directory broker, real `affidavit-worker` children),
-    /// `"tcp"` (coordinator socket, real children dialing `--connect`) or
-    /// `"in-process"` (worker threads; fallback when the worker binary is
-    /// not found next to this one).
+    /// `"tcp"` (real `affidavit-worker` children dialing the
+    /// coordinator's listener) or `"in-process"` (worker threads; fallback
+    /// when the worker binary is not found next to this one).
     transport: String,
     /// Worker count of this run.
     workers: usize,
     /// Wall-clock seconds for the whole profile.
     total_secs: f64,
-    /// This transport's 1-worker time divided by `total_secs` — only
-    /// meaningful when `speedup_valid`.
+    /// The 1-worker time divided by `total_secs` — only meaningful when
+    /// `speedup_valid`.
     speedup_vs_1: f64,
     /// Successful exclusive claims.
     steals: usize,
@@ -301,62 +300,51 @@ fn bench_dist(
     let local_profile = profile_dirs(before, after, opts).expect("local profile");
     let tables = local_profile.tables.len();
     let local = canonical(local_profile);
-    // Both real transports when the worker binary is present, the
-    // in-process thread backend otherwise.
-    let backends: Vec<(&str, DistBackend)> = match worker_binary() {
-        Ok(bin) => vec![
-            (
-                "fs",
-                DistBackend::ChildProcesses {
-                    broker_dir: None,
-                    worker_bin: Some(bin.clone()),
-                },
-            ),
-            (
-                "tcp",
-                DistBackend::Tcp {
-                    listen: None,
-                    worker_bin: Some(bin),
-                },
-            ),
-        ],
-        Err(_) => vec![("in-process", DistBackend::InProcess)],
+    // Real worker processes over the TCP listener when the worker binary
+    // is present, in-process worker threads otherwise.
+    let (transport, backend) = match worker_binary() {
+        Ok(bin) => (
+            "tcp",
+            DistBackend::Tcp {
+                listen: None,
+                worker_bin: Some(bin),
+            },
+        ),
+        Err(_) => ("in-process", DistBackend::InProcess),
     };
 
     let mut rows: Vec<DistRow> = Vec::new();
     let mut jobs = 0;
     let mut deterministic = true;
-    for (transport, backend) in &backends {
-        let mut secs_at_1 = None;
-        for &workers in worker_counts {
-            let dopts = DistOptions {
-                workers,
-                backend: backend.clone(),
-                ..DistOptions::default()
-            };
-            let started = Instant::now();
-            let (profile, stats) =
-                affidavit_dist::profile_dirs_distributed(before, after, opts, &dopts)
-                    .expect("distributed profile");
-            let total_secs = started.elapsed().as_secs_f64();
-            let base = *secs_at_1.get_or_insert(total_secs);
-            deterministic &= canonical(profile) == local;
-            jobs = stats.jobs;
-            rows.push(DistRow {
-                transport: (*transport).to_owned(),
-                workers,
-                total_secs,
-                speedup_vs_1: base / total_secs.max(1e-12),
-                steals: stats.steals,
-                stragglers_requeued: stats.stragglers_requeued,
-                duplicates_discarded: stats.duplicates_discarded,
-                conflicts: stats.conflicts,
-            });
-        }
+    let mut secs_at_1 = None;
+    for &workers in worker_counts {
+        let dopts = DistOptions {
+            workers,
+            backend: backend.clone(),
+            ..DistOptions::default()
+        };
+        let started = Instant::now();
+        let (profile, stats) =
+            affidavit_dist::profile_dirs_distributed(before, after, opts, &dopts)
+                .expect("distributed profile");
+        let total_secs = started.elapsed().as_secs_f64();
+        let base = *secs_at_1.get_or_insert(total_secs);
+        deterministic &= canonical(profile) == local;
+        jobs = stats.jobs;
+        rows.push(DistRow {
+            transport: transport.to_owned(),
+            workers,
+            total_secs,
+            speedup_vs_1: base / total_secs.max(1e-12),
+            steals: stats.steals,
+            stragglers_requeued: stats.stragglers_requeued,
+            duplicates_discarded: stats.duplicates_discarded,
+            conflicts: stats.conflicts,
+        });
     }
     assert!(
         deterministic,
-        "every transport and worker count must render the single-process profile byte-identically"
+        "every worker count must render the single-process profile byte-identically"
     );
 
     // Registry regression gate: the deterministic counters this JSON is

@@ -80,26 +80,17 @@ INCREMENTAL FLAGS (explain, profile, client):
 
 DISTRIBUTED FLAGS (profile):
   --workers N              Fan table pairs out to N affidavit-worker
-                           processes over a work-stealing job broker
+                           processes over a work-stealing job queue the
+                           coordinator serves on a TCP listener
                            (default: 0 — profile in-process). The report
                            is byte-identical at every worker count.
-  --transport fs|tcp       Broker transport for --workers (default: fs).
-                           fs claims jobs by atomic rename in a spool
-                           directory; tcp serves framed steals from a
-                           coordinator socket — no shared filesystem, and
-                           extra workers on any machine can dial in with
-                           `affidavit-worker --connect HOST:PORT`.
-  --listen ADDR            Bind address of the tcp transport's coordinator
-                           listener (default: 127.0.0.1:0 = loopback with
-                           an OS-chosen port). Bind a routable address to
-                           accept workers from other machines — trusted
-                           networks only: the protocol carries no
-                           authentication yet.
-  --broker DIR             Job-spool directory for the fs transport
-                           (default: a fresh temp directory). Point it at
-                           shared storage to let externally started workers
-                           steal from the same run; the directory must be
-                           empty.
+  --listen ADDR            Bind address of the coordinator's listener
+                           (default: 127.0.0.1:0 = loopback with an
+                           OS-chosen port). Extra workers on any machine
+                           can join the run with `affidavit-worker
+                           --connect HOST:PORT`; bind a routable address
+                           to accept them — trusted networks only: the
+                           protocol carries no authentication yet.
   --steal-timeout-secs N   Re-publish a worker's claimed job for others to
                            steal if no result arrives within N seconds;
                            the wait doubles on every retry of the same job
@@ -176,14 +167,7 @@ const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows", "pool-backend", "pool-bu
 /// The INCREMENTAL flags of USAGE.
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
 /// The DISTRIBUTED flags of USAGE.
-const DISTRIBUTED_FLAGS: &[&str] = &[
-    "workers",
-    "transport",
-    "listen",
-    "broker",
-    "steal-timeout-secs",
-    "deadline-secs",
-];
+const DISTRIBUTED_FLAGS: &[&str] = &["workers", "listen", "steal-timeout-secs", "deadline-secs"];
 
 /// Flags that never take a value: the next argument after one of them is
 /// always a positional or another flag.
@@ -483,7 +467,8 @@ pub fn explain(args: &[String]) -> Result<(), String> {
 
 /// `affidavit profile`: explain every table pair in two snapshot
 /// directories (paired by file stem) — in-process by default, or fanned
-/// out to `affidavit-worker` child processes with `--workers N`.
+/// out to `affidavit-worker` child processes over the coordinator's TCP
+/// listener with `--workers N`.
 pub fn profile(args: &[String]) -> Result<(), String> {
     let p = parse(
         args,
@@ -531,13 +516,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         );
     }
     let mut profile = if workers == 0 {
-        for flag in [
-            "transport",
-            "listen",
-            "broker",
-            "steal-timeout-secs",
-            "deadline-secs",
-        ] {
+        for flag in ["listen", "steal-timeout-secs", "deadline-secs"] {
             if p.has(flag) {
                 return Err(format!(
                     "--{flag} only applies to distributed runs; add --workers N"
@@ -561,30 +540,9 @@ pub fn profile(args: &[String]) -> Result<(), String> {
             affidavit_core::profiling::profile_dirs(Path::new(src_dir), Path::new(tgt_dir), &opts)?
         }
     } else {
-        let transport = p.flag_value("transport").unwrap_or("fs");
-        let backend = match transport {
-            "fs" => {
-                if p.has("listen") {
-                    return Err("--listen only applies to --transport tcp".to_owned());
-                }
-                affidavit_dist::DistBackend::ChildProcesses {
-                    broker_dir: p.flag_value("broker").map(std::path::PathBuf::from),
-                    worker_bin: None,
-                }
-            }
-            "tcp" => {
-                if p.has("broker") {
-                    return Err(
-                        "--broker is the fs transport's spool; with --transport tcp use --listen"
-                            .to_owned(),
-                    );
-                }
-                affidavit_dist::DistBackend::Tcp {
-                    listen: p.flag_value("listen").map(str::to_owned),
-                    worker_bin: None,
-                }
-            }
-            other => return Err(format!("unknown --transport {other:?} (use fs|tcp)")),
+        let backend = affidavit_dist::DistBackend::Tcp {
+            listen: p.flag_value("listen").map(str::to_owned),
+            worker_bin: None,
         };
         let dopts = affidavit_dist::DistOptions {
             workers,
@@ -600,7 +558,7 @@ pub fn profile(args: &[String]) -> Result<(), String> {
             &dopts,
         )?;
         affidavit_obs::diag(
-            &format!("distributed ({transport})"),
+            "distributed (tcp)",
             &format!(
                 "{} jobs over {} workers — {} steals, {} stragglers requeued, \
                  {} duplicates discarded, {} conflicts",
@@ -1178,6 +1136,11 @@ mod tests {
             let err = profile(&argv(&["a", "b", flag, value])).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }
+        // Retired distribution flags: the spool-directory transport is gone.
+        for (flag, value) in [("--transport", "tcp"), ("--broker", "/tmp/spool")] {
+            let err = profile(&argv(&["a", "b", "--workers", "2", flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
         let err = serve(&argv(&["--expansion-workers", "2"])).unwrap_err();
         assert!(err.contains("--expansion-workers"), "{err}");
         let err = client(&argv(&["--connect", "127.0.0.1:9", "--bogus"])).unwrap_err();
@@ -1326,9 +1289,7 @@ mod tests {
             "--delta",
             "--delta-state",
             "--workers",
-            "--transport",
             "--listen",
-            "--broker",
             "--steal-timeout-secs",
             "--deadline-secs",
             "--stable",
@@ -1438,28 +1399,18 @@ mod tests {
         let d = dir.to_str().unwrap();
         let err = profile(&argv(&[d, d, "--workers", "many"])).unwrap_err();
         assert!(err.contains("--workers"), "{err}");
-        let err = profile(&argv(&[d, d, "--broker", "/tmp/spool"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        // Transport flags without a distributed run, or crossed between
-        // transports, fail with pointed messages.
-        let err = profile(&argv(&[d, d, "--transport", "tcp"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-        let err = profile(&argv(&[d, d, "--workers", "2", "--transport", "udp"])).unwrap_err();
-        assert!(err.contains("fs|tcp"), "{err}");
-        let err = profile(&argv(&[
-            d,
-            d,
-            "--workers",
-            "2",
-            "--transport",
-            "tcp",
-            "--broker",
-            "/tmp/spool",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--listen"), "{err}");
-        let err = profile(&argv(&[d, d, "--workers", "2", "--listen", "127.0.0.1:0"])).unwrap_err();
-        assert!(err.contains("--transport tcp"), "{err}");
+        // Distribution flags without a distributed run fail with a
+        // pointed message.
+        for (flag, value) in [
+            ("--listen", "127.0.0.1:0"),
+            ("--steal-timeout-secs", "5"),
+            ("--deadline-secs", "60"),
+        ] {
+            let err = profile(&argv(&[d, d, flag, value])).unwrap_err();
+            assert!(err.contains(flag) && err.contains("--workers"), "{err}");
+        }
+        let err = profile(&argv(&[d, d, "--workers", "2", "--deadline-secs", "soon"])).unwrap_err();
+        assert!(err.contains("--deadline-secs"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -123,9 +123,8 @@ impl SnapshotProfile {
     /// Zero every wall-clock field (`millis`) so two profiles of the same
     /// snapshots can be compared byte for byte. Search timings are the only
     /// nondeterministic part of a profile; everything else is invariant
-    /// under thread count, worker count and — for
-    /// distributed runs — the broker transport carrying the jobs
-    /// (spool directory or TCP).
+    /// under thread count, worker count and — for distributed runs —
+    /// whether the workers are threads or processes.
     pub fn strip_timing(&mut self) {
         for t in &mut self.tables {
             if let TableOutcome::Explained { millis, .. } = &mut t.outcome {

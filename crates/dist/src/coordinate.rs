@@ -1,17 +1,22 @@
 //! The coordinator: fan jobs out, absorb results deterministically.
 //!
-//! [`execute_jobs`] runs a job list to completion on either backend and
-//! returns the results keyed by job id. [`absorb_result`] merges one
-//! result into the coordinator's pool — the cross-process version of the
-//! ScratchPool absorb step: the worker's pool suffix is re-interned in
-//! worker order and the result's symbols are rewritten through the
-//! returned [`SymRemap`](affidavit_table::SymRemap). Because absorption
-//! happens in job-id order and each result is a pure function of its job,
-//! the coordinator's final state is independent of worker count,
-//! scheduling, duplicates and straggler retries.
+//! [`execute_jobs`] runs a job list to completion and returns the results
+//! keyed by job id. Every run publishes into one [`LeaseTable`] and runs
+//! one sequence — submit, wait with straggler requeues, stop, join the
+//! workers, check health — whichever [`DistBackend`] starts the workers.
+//! [`absorb_result`] merges one result into the coordinator's pool — the
+//! cross-process version of the ScratchPool absorb step: the worker's
+//! pool suffix is re-interned in worker order and the result's symbols
+//! are rewritten through the returned
+//! [`SymRemap`](affidavit_table::SymRemap). Because absorption happens in
+//! job-id order and each result is a pure function of its job, the
+//! coordinator's final state is independent of worker count, scheduling,
+//! duplicates and straggler retries.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use affidavit_core::profiling::{
@@ -20,36 +25,24 @@ use affidavit_core::profiling::{
 };
 use affidavit_core::{AffidavitConfig, Explanation, ProblemInstance};
 
-use crate::broker::{spawn_workers, worker_binary, FsBroker, WorkerEndpoint, WorkerHandle};
 use crate::job::{Job, JobOutcome, JobPayload, JobResult};
-use crate::queue::{InProcessQueue, JobQueue, QueueStats};
+use crate::queue::{JobQueue, LeaseTable, QueueStats};
 use crate::tcp::TcpBroker;
 use crate::transport::{Broker, Transport};
 use crate::wire::{WireConfig, WireInstance};
-use crate::worker::run_worker;
+use crate::worker::{run_worker, WorkerStats};
 
-/// Where the workers live, and which transport carries the protocol.
+/// How the workers start. Either way they steal from the coordinator's
+/// one [`LeaseTable`].
 #[derive(Debug, Clone, Default)]
 pub enum DistBackend {
-    /// Worker threads inside this process over an
-    /// [`InProcessQueue`] — tests, doctests, library embedding.
+    /// Worker threads inside this process, stealing from the table
+    /// directly — tests, doctests, library embedding.
     #[default]
     InProcess,
-    /// Real `affidavit-worker` child processes over an [`FsBroker`]
-    /// spool directory (requires a filesystem the coordinator and all
-    /// workers share).
-    ChildProcesses {
-        /// Spool directory; `None` = a fresh temp directory, removed on
-        /// completion. Point it at shared storage to let externally
-        /// started workers steal from the same run.
-        broker_dir: Option<PathBuf>,
-        /// Worker executable; `None` = resolve via
-        /// [`worker_binary`].
-        worker_bin: Option<PathBuf>,
-    },
-    /// Real `affidavit-worker` child processes over a
-    /// [`TcpBroker`] — no shared filesystem needed; externally started
-    /// workers dial `affidavit-worker --connect HOST:PORT`.
+    /// Real `affidavit-worker` child processes, reaching the table
+    /// through a [`TcpBroker`] listener. Externally started workers can
+    /// join the run with `affidavit-worker --connect HOST:PORT`.
     Tcp {
         /// Coordinator bind address; `None` = `127.0.0.1:0` (loopback,
         /// OS-chosen port). Bind a routable address to accept workers
@@ -67,12 +60,8 @@ pub struct DistOptions {
     /// Worker count (threads or child processes). `0` autosizes to one
     /// per hardware thread ([`std::thread::available_parallelism`]).
     pub workers: usize,
-    /// Transport and worker placement.
+    /// How the workers start.
     pub backend: DistBackend,
-    /// How many copies of every job to enqueue (speculative duplicate
-    /// dispatch; the extras are stolen by idle workers and their results
-    /// discarded). `1` — the default — disables it.
-    pub redundancy: usize,
     /// Claims older than this without a result are re-published for other
     /// workers to steal.
     pub steal_timeout: Duration,
@@ -91,7 +80,6 @@ impl Default for DistOptions {
         DistOptions {
             workers: 2,
             backend: DistBackend::InProcess,
-            redundancy: 1,
             steal_timeout: Duration::from_secs(30),
             deadline: Duration::from_secs(600),
             poll: Duration::from_millis(2),
@@ -102,8 +90,7 @@ impl Default for DistOptions {
 
 /// Counters describing one distributed run. The steal-loop counters
 /// (`steals`, `stragglers_requeued`, `duplicates_discarded`,
-/// `conflicts`) come from the queue's [`QueueStats`] and carry the same
-/// meaning on every transport.
+/// `conflicts`) come from the lease table's [`QueueStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistStats {
     /// Jobs dispatched (distinct ids).
@@ -111,9 +98,9 @@ pub struct DistStats {
     /// Workers that served the run.
     pub workers: usize,
     /// Successful exclusive claims across the run (≥ `jobs`: requeues
-    /// and redundancy add claims).
+    /// add claims).
     pub steals: usize,
-    /// Duplicate results checked and discarded (redundancy, straggler
+    /// Duplicate results checked and discarded (straggler
     /// double-completion).
     pub duplicates_discarded: usize,
     /// Claims re-published after the straggler timeout.
@@ -171,168 +158,104 @@ pub fn execute_jobs(
         return Ok((BTreeMap::new(), stats));
     }
     let manifest: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-    match &opts.backend {
-        DistBackend::InProcess => {
-            let queue = InProcessQueue::new();
-            submit_all(&queue, jobs, opts.redundancy)?;
-            let results = std::thread::scope(|scope| -> Result<_, String> {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let queue = &queue;
-                        let poll = opts.poll;
-                        let id = format!("local-{w}");
-                        scope.spawn(move || run_worker(queue, &id, poll))
-                    })
-                    .collect();
-                let results = wait_for_results(&queue, &manifest, opts, |_| Ok(()));
-                // Always release the workers, even on error, or the scope
-                // would never join.
-                queue.request_shutdown()?;
+    let queue = Broker::new(LeaseTable::new());
+    // The listener lives until this function returns; dropping it severs
+    // the worker processes' connections.
+    let (_listener, mut fleet) = match &opts.backend {
+        DistBackend::InProcess => (None, Fleet::threads(&queue, workers, opts.poll)),
+        DistBackend::Tcp { listen, worker_bin } => {
+            let bind = listen.as_deref().unwrap_or("127.0.0.1:0");
+            let listener = TcpBroker::bind(bind, queue.transport().clone())?;
+            let bin = match worker_bin {
+                Some(path) => path.clone(),
+                None => worker_binary()?,
+            };
+            let addr = listener.local_addr().to_string();
+            let children = spawn_workers(&bin, &addr, workers, opts.poll)?;
+            (Some(listener), Fleet::Processes(children))
+        }
+    };
+    let results = submit_and_wait(&queue, &mut fleet, jobs, &manifest, opts);
+    // Wind down the fleet whether the run succeeded or not; the
+    // WorkerHandle drop kills any process that ignores the request. The
+    // run's own error stays the headline.
+    let shutdown = queue.request_shutdown();
+    let results = results?;
+    shutdown?;
+    fleet.join()?;
+    // The fleet has drained: any straggler duplicate that completed
+    // after the last fresh result has been compared by now — surface a
+    // late-recorded divergence instead of absorbing quietly.
+    queue.check_health()?;
+    stats.absorb_queue(queue.stats()?);
+    stats.publish();
+    Ok((results, stats))
+}
+
+/// The workers of one run.
+enum Fleet {
+    Threads(Vec<JoinHandle<Result<WorkerStats, String>>>),
+    Processes(Vec<WorkerHandle>),
+}
+
+impl Fleet {
+    /// `n` worker threads, each with its own handle on the table.
+    fn threads(queue: &Broker<LeaseTable>, n: usize, poll: Duration) -> Fleet {
+        Fleet::Threads(
+            (0..n)
+                .map(|w| {
+                    let queue = queue.clone();
+                    std::thread::spawn(move || run_worker(&queue, &format!("local-{w}"), poll))
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether every worker has exited (a run can no longer finish).
+    fn all_exited(&mut self) -> bool {
+        match self {
+            Fleet::Threads(handles) => handles.iter().all(JoinHandle::is_finished),
+            Fleet::Processes(children) => children.iter_mut().all(WorkerHandle::try_finished),
+        }
+    }
+
+    /// Wait for every worker to exit and fail if any of them failed.
+    fn join(self) -> Result<(), String> {
+        match self {
+            Fleet::Threads(handles) => {
                 for handle in handles {
                     handle
                         .join()
                         .map_err(|_| "worker thread panicked".to_owned())??;
                 }
-                results
-            })?;
-            // Late duplicates (redundancy stragglers completing during
-            // shutdown) have all been compared once the threads joined.
-            queue.check_health()?;
-            stats.absorb_queue(queue.stats()?);
-            stats.publish();
-            Ok((results, stats))
-        }
-        DistBackend::ChildProcesses {
-            broker_dir,
-            worker_bin,
-        } => {
-            // A unique spool per run; an explicit --broker directory must
-            // be fresh (job ids restart at 0 every run, so stale results
-            // would be absorbed as this run's). On failure the spool is
-            // left behind for post-mortem.
-            static RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let (root, owned) = match broker_dir {
-                Some(dir) => (dir.clone(), false),
-                None => {
-                    // pid + counter alone can collide with a failed
-                    // run's leftover spool after PID recycling; the
-                    // nanosecond stamp makes the path unique.
-                    let nanos = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_nanos())
-                        .unwrap_or(0);
-                    let dir = std::env::temp_dir().join(format!(
-                        "affidavit-dist-{}-{}-{nanos}",
-                        std::process::id(),
-                        RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    ));
-                    (dir, true)
-                }
-            };
-            let bin = resolve_worker_bin(worker_bin)?;
-            let broker = FsBroker::open(&root)?;
-            // Even an owned temp spool is checked: job ids restart at 0
-            // every run, so absorbing any leftover would silently
-            // corrupt this run's profile — better to refuse loudly.
-            broker.ensure_fresh()?;
-            let endpoint = WorkerEndpoint::Spool(root.clone());
-            let results = run_fleet(&broker, &bin, &endpoint, workers, jobs, &manifest, opts)?;
-            stats.absorb_queue(broker.stats()?);
-            stats.publish();
-            if owned {
-                std::fs::remove_dir_all(&root).ok();
             }
-            Ok((results, stats))
+            Fleet::Processes(mut children) => {
+                for child in &mut children {
+                    if !child.wait()? {
+                        return Err(format!("worker {} exited with failure", child.worker_id));
+                    }
+                }
+            }
         }
-        DistBackend::Tcp { listen, worker_bin } => {
-            let bin = resolve_worker_bin(worker_bin)?;
-            let broker = Broker::new(TcpBroker::bind(listen.as_deref().unwrap_or("127.0.0.1:0"))?);
-            let endpoint = WorkerEndpoint::Tcp(broker.transport().local_addr().to_string());
-            let results = run_fleet(&broker, &bin, &endpoint, workers, jobs, &manifest, opts)?;
-            stats.absorb_queue(broker.stats()?);
-            stats.publish();
-            Ok((results, stats))
-        }
+        Ok(())
     }
 }
 
-fn resolve_worker_bin(worker_bin: &Option<PathBuf>) -> Result<PathBuf, String> {
-    match worker_bin {
-        Some(path) => Ok(path.clone()),
-        None => worker_binary(),
-    }
-}
-
-/// Drive a fleet of real `affidavit-worker` child processes over any
-/// transport: spawn, submit, wait with straggler recovery and liveness
-/// checks, wind down. The transport seam keeps this — the whole
-/// coordinator side of the protocol — identical for the spool directory
-/// and the TCP listener.
-fn run_fleet<T: Transport>(
-    queue: &crate::transport::Broker<T>,
-    worker_bin: &Path,
-    endpoint: &WorkerEndpoint,
-    workers: usize,
+/// Hand every job to the queue (dropping each payload once submitted),
+/// then poll for the results, with straggler requeues and a worker
+/// liveness check once per steal-timeout window.
+fn submit_and_wait(
+    queue: &Broker<LeaseTable>,
+    fleet: &mut Fleet,
     jobs: Vec<Job>,
     manifest: &[u64],
     opts: &DistOptions,
 ) -> Result<BTreeMap<u64, JobResult>, String> {
-    let mut children = spawn_workers(worker_bin, endpoint, workers, opts.poll)?;
-    let run = |children: &mut Vec<WorkerHandle>| -> Result<BTreeMap<u64, JobResult>, String> {
-        submit_all(queue, jobs, opts.redundancy)?;
-        let mut last_recovery = Instant::now();
-        wait_for_results(queue, manifest, opts, |queue| {
-            // Straggler recovery + child liveness, once per timeout
-            // window.
-            if last_recovery.elapsed() >= opts.steal_timeout {
-                last_recovery = Instant::now();
-                let _span = affidavit_obs::span("dist.requeue");
-                queue.transport().requeue_expired(opts.steal_timeout)?;
-            }
-            if children.iter_mut().all(|c| c.try_finished()) {
-                return Err("all workers exited before the run completed".to_owned());
-            }
-            Ok(())
-        })
-    };
-    let results = run(&mut children);
-    // Wind down the fleet whether the run succeeded or not; the
-    // WorkerHandle drop kills anything that ignores the request. The
-    // run's own error stays the headline — a shutdown that fails
-    // because the transport is already gone must not mask it.
-    let shutdown = queue.request_shutdown();
-    let results = results?;
-    shutdown?;
-    for child in &mut children {
-        if !child.wait()? {
-            return Err(format!("worker {} exited with failure", child.worker_id));
-        }
-    }
-    // The fleet has drained: any straggler duplicate that completed
-    // after the last fresh result has been compared by now — surface a
-    // late-recorded divergence instead of absorbing quietly.
-    queue.check_health()?;
-    Ok(results)
-}
-
-/// Hand every job (and its `redundancy − 1` speculative copies) to the
-/// queue, dropping each payload as soon as the last copy is submitted.
-fn submit_all(queue: &dyn JobQueue, jobs: Vec<Job>, redundancy: usize) -> Result<(), String> {
     for job in jobs {
-        for _ in 0..redundancy.max(1) {
-            queue.submit(&job)?;
-        }
+        queue.submit(&job)?;
     }
-    Ok(())
-}
-
-fn wait_for_results<Q: JobQueue>(
-    queue: &Q,
-    manifest: &[u64],
-    opts: &DistOptions,
-    mut tick: impl FnMut(&Q) -> Result<(), String>,
-) -> Result<BTreeMap<u64, JobResult>, String> {
     let deadline = Instant::now() + opts.deadline;
+    let mut last_recovery = Instant::now();
     let mut results: BTreeMap<u64, JobResult> = BTreeMap::new();
     loop {
         let mut fetched_new = false;
@@ -345,16 +268,22 @@ fn wait_for_results<Q: JobQueue>(
             }
         }
         // Conflicts appear only around (duplicate) deliveries, so the
-        // health scan — a full results-directory listing on the fs
-        // transport — runs on result arrival, not on every poll nap;
+        // health check runs on result arrival, not on every poll nap;
         // the fleet teardown does one final check for late duplicates.
         if fetched_new {
             queue.check_health()?;
         }
-        if manifest.iter().all(|id| results.contains_key(id)) {
+        if results.len() == manifest.len() {
             return Ok(results);
         }
-        tick(queue)?;
+        if last_recovery.elapsed() >= opts.steal_timeout {
+            last_recovery = Instant::now();
+            let _span = affidavit_obs::span("dist.requeue");
+            queue.transport().requeue_expired(opts.steal_timeout)?;
+        }
+        if fleet.all_exited() {
+            return Err("all workers exited before the run completed".to_owned());
+        }
         if Instant::now() >= deadline {
             return Err(format!(
                 "distributed run exceeded its deadline with {}/{} results",
@@ -578,4 +507,101 @@ pub fn profile_dirs_distributed(
         });
     }
     Ok((SnapshotProfile { tables }, stats))
+}
+
+/// Locate the `affidavit-worker` executable: the `AFFIDAVIT_WORKER_BIN`
+/// environment variable if set, otherwise a sibling of the current
+/// executable (all workspace binaries land in the same target directory).
+pub fn worker_binary() -> Result<PathBuf, String> {
+    if let Ok(path) = std::env::var("AFFIDAVIT_WORKER_BIN") {
+        let path = PathBuf::from(path);
+        if path.is_file() {
+            return Ok(path);
+        }
+        return Err(format!(
+            "AFFIDAVIT_WORKER_BIN={} does not exist",
+            path.display()
+        ));
+    }
+    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
+    let sibling = exe
+        .parent()
+        .ok_or("current executable has no parent directory")?
+        .join(format!("affidavit-worker{}", std::env::consts::EXE_SUFFIX));
+    if sibling.is_file() {
+        Ok(sibling)
+    } else {
+        Err(format!(
+            "affidavit-worker not found next to {} (build it with \
+             `cargo build -p affidavit-dist` or set AFFIDAVIT_WORKER_BIN)",
+            exe.display()
+        ))
+    }
+}
+
+/// A spawned worker child process, killed on drop if still running.
+#[derive(Debug)]
+pub struct WorkerHandle {
+    child: Child,
+    /// The worker's id (`proc-<n>`), as it will appear in results.
+    pub worker_id: String,
+}
+
+impl WorkerHandle {
+    /// Whether the process has exited, without blocking.
+    pub fn try_finished(&mut self) -> bool {
+        matches!(self.child.try_wait(), Ok(Some(_)))
+    }
+
+    /// Wait for the process to exit and report success.
+    pub fn wait(&mut self) -> Result<bool, String> {
+        self.child
+            .wait()
+            .map(|status| status.success())
+            .map_err(|e| e.to_string())
+    }
+
+    /// Kill the process immediately (fault injection in tests; the
+    /// coordinator's protocol must treat this exactly like a straggler).
+    pub fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Drop for WorkerHandle {
+    fn drop(&mut self) {
+        if self.child.try_wait().map(|s| s.is_none()).unwrap_or(false) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
+/// Spawn `n` real `affidavit-worker` child processes that dial the
+/// coordinator at `addr` (`HOST:PORT`). Their stderr is inherited
+/// (worker diagnostics stay visible); stdout is discarded.
+pub fn spawn_workers(
+    worker_bin: &Path,
+    addr: &str,
+    n: usize,
+    poll: Duration,
+) -> Result<Vec<WorkerHandle>, String> {
+    (0..n)
+        .map(|i| {
+            let worker_id = format!("proc-{i}");
+            Command::new(worker_bin)
+                .arg("--connect")
+                .arg(addr)
+                .arg("--worker-id")
+                .arg(&worker_id)
+                .arg("--poll-ms")
+                .arg(poll.as_millis().max(1).to_string())
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .spawn()
+                .map(|child| WorkerHandle { child, worker_id })
+                .map_err(|e| format!("spawning {}: {e}", worker_bin.display()))
+        })
+        .collect()
 }

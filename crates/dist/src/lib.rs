@@ -9,39 +9,41 @@
 //!   [`ProblemInstance`](affidavit_core::ProblemInstance) +
 //!   [`AffidavitConfig`](affidavit_core::AffidavitConfig) (and of
 //!   results), covered by round-trip and golden-bytes tests.
-//! * [`queue`] — the [`JobQueue`] abstraction and the in-process backend.
+//! * [`queue`] — the [`JobQueue`] abstraction and the [`LeaseTable`],
+//!   the one work-stealing queue: published jobs, exclusive claims under
+//!   a lease, delivered results, straggler re-publication, stop.
 //! * [`transport`] — the transport seam: the work-stealing protocol
 //!   (publish → exclusive claim/lease → deliver → straggler
 //!   re-publication with backoff → duplicate compare-and-discard → stop)
 //!   expressed **once**, in [`Broker`], against the [`Transport`] trait's
-//!   operations on opaque wire envelopes.
-//! * [`broker`] — transport #1, the spool directory: real
-//!   `affidavit-worker` child processes claim pending job files by atomic
-//!   rename (exactly one winner — that *is* the work-stealing).
+//!   operations on opaque wire envelopes. In-process worker threads
+//!   steal from `Broker<LeaseTable>` directly.
 //! * [`frame`] — the length-prefixed frame codec under every socket
 //!   protocol (this crate's steal loop and the `affidavit-serve` client
 //!   API), with progress-based stall timeouts.
-//! * [`tcp`] — transport #2, sockets: the coordinator binds a listener
-//!   and tracks leases in memory; workers dial `--connect HOST:PORT` and
-//!   multiplex framed request/response exchanges over one keep-alive
-//!   connection, so no shared filesystem is needed and a dropped
-//!   connection mid-job is just a straggler.
-//! * [`coordinate`] — the coordinator: results are absorbed **in job-id
-//!   order** with [`SymRemap`](affidavit_table::SymRemap) pool merging,
-//!   so the rendered profile is byte-identical to the single-process run
-//!   at every worker count and on every transport
+//! * [`tcp`] — how worker processes reach the table: the coordinator's
+//!   [`TcpBroker`] serves it on a listener; `affidavit-worker --connect
+//!   HOST:PORT` multiplexes framed request/response exchanges over one
+//!   keep-alive connection, so no shared filesystem is needed and a
+//!   dropped connection mid-job is just a straggler.
+//! * [`coordinate`] — the coordinator: one submit/wait/requeue/shutdown
+//!   sequence for thread and process workers alike; results are absorbed
+//!   **in job-id order** with [`SymRemap`](affidavit_table::SymRemap)
+//!   pool merging, so the rendered profile is byte-identical to the
+//!   single-process run at every worker count
 //!   (`tests/properties_dist.rs`, `tests/properties_transport.rs`).
 //!
 //! Determinism does not depend on the queue: every job result is a pure
 //! function of the job bytes (the engine underneath is byte-identical at
-//! any thread count), so stolen-then-duplicated jobs and straggler
-//! retries degrade to *wasted work*, never to nondeterminism.
+//! any thread count), so straggler retries that complete twice degrade
+//! to *wasted work*, never to nondeterminism.
 //!
 //! ```
 //! use std::time::Duration;
 //! use affidavit_core::{AffidavitConfig, Affidavit, ProblemInstance};
 //! use affidavit_core::report::render_report;
-//! use affidavit_dist::queue::{InProcessQueue, JobQueue};
+//! use affidavit_dist::queue::{JobQueue, LeaseTable};
+//! use affidavit_dist::transport::Broker;
 //! use affidavit_dist::coordinate::explain_via;
 //! use affidavit_dist::worker::run_worker;
 //! use affidavit_table::{Schema, Table, ValuePool};
@@ -57,7 +59,7 @@
 //! let cfg = AffidavitConfig::paper_id();
 //!
 //! // Distribute the search over one worker thread...
-//! let queue = InProcessQueue::new();
+//! let queue = Broker::new(LeaseTable::new());
 //! let mut instance = build();
 //! let remote = std::thread::scope(|scope| {
 //!     scope.spawn(|| run_worker(&queue, "w0", Duration::from_millis(1)));
@@ -77,7 +79,6 @@
 
 #![warn(missing_docs)]
 
-pub mod broker;
 pub mod coordinate;
 pub mod frame;
 pub mod job;
@@ -87,12 +88,9 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use broker::{
-    spawn_workers, worker_binary, FsBroker, FsTransport, WorkerEndpoint, WorkerHandle,
-};
 pub use coordinate::{
-    absorb_result, execute_jobs, explain_via, profile_dirs_distributed, DistBackend, DistOptions,
-    DistStats, RemoteExplanation,
+    absorb_result, execute_jobs, explain_via, profile_dirs_distributed, spawn_workers,
+    worker_binary, DistBackend, DistOptions, DistStats, RemoteExplanation, WorkerHandle,
 };
 pub use frame::{
     configure_stream, read_frame, write_frame, FrameConfig, FrameRead, MAX_FRAME_BYTES,
@@ -100,7 +98,7 @@ pub use frame::{
 pub use job::{
     decode_job, decode_result, encode_job, encode_result, Job, JobOutcome, JobPayload, JobResult,
 };
-pub use queue::{InProcessQueue, JobQueue, QueueStats};
+pub use queue::{JobQueue, LeaseTable, QueueStats};
 pub use tcp::{TcpBroker, TcpClient};
 pub use transport::{requeue_backoff, Broker, Claimed, Delivered, Transport};
 pub use wire::{WireConfig, WireFunction, WireInstance, WIRE_FORMAT, WIRE_VERSION};

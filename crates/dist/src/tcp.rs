@@ -1,9 +1,9 @@
-//! The TCP transport: a coordinator-side listener, no shared filesystem.
+//! The TCP listener: worker processes reach the lease table over sockets.
 //!
 //! [`TcpBroker`] is the coordinator half: it binds a
-//! [`std::net::TcpListener`], keeps the published queue, the delivered
-//! results and — crucially — the **leases** in coordinator memory, and
-//! serves framed request/response exchanges from any number of workers.
+//! [`std::net::TcpListener`] and serves framed request/response
+//! exchanges from any number of workers against the coordinator's
+//! [`LeaseTable`] — the same table in-process worker threads steal from.
 //! [`TcpClient`] is the worker half: it holds **one persistent framed
 //! connection** to the coordinator and multiplexes every protocol
 //! operation (claim, deliver, heartbeat, …) over it as one
@@ -11,12 +11,10 @@
 //! coordinator restart, an idle-killing middlebox — drops it and retries
 //! the operation once on a fresh dial; a failure on the *fresh* dial
 //! propagates, which is the broker-lost signal the worker's reconnect
-//! loop and exit code 3 are built on. A worker that dies mid-job still
-//! takes nothing down with it: its lease simply expires on the
-//! coordinator and the job is re-published, exactly the straggler path
-//! of the filesystem transport. The job/result payloads inside the
-//! exchanges are the unchanged `wire.rs` v1 envelopes, opaque to this
-//! module.
+//! loop and exit code 3 are built on. A worker that dies mid-job takes
+//! nothing down with it: its lease simply expires in the table and the
+//! job is re-published. The job/result payloads inside the exchanges are
+//! the unchanged `wire.rs` envelopes, opaque to this module.
 //!
 //! Framing lives in [`crate::frame`] — a 4-byte big-endian length plus
 //! JSON, with **progress-based** stall timeouts so a slow-but-advancing
@@ -34,23 +32,21 @@
 //! expires into a requeue, a repeated delivery takes the duplicate path,
 //! and the rest are idempotent reads or sticky flags.
 //!
-//! Both halves implement [`Transport`], so the work-stealing protocol in
-//! [`Broker`](crate::transport::Broker) — encoding, duplicate
-//! compare-and-discard, conflict recording — runs unchanged over
-//! sockets: `Broker<TcpBroker>` on the coordinator, `Broker<TcpClient>`
-//! inside `affidavit-worker --connect`.
+//! [`TcpClient`] implements [`Transport`], so the work-stealing protocol
+//! in [`Broker`](crate::transport::Broker) — encoding, duplicate
+//! compare-and-discard, conflict recording — runs unchanged inside
+//! `affidavit-worker --connect` as `Broker<TcpClient>`.
 
-use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{configure_stream, read_frame, write_frame, FrameConfig, FrameRead};
-use crate::queue::QueueStats;
-use crate::transport::{requeue_backoff, Claimed, Delivered, Transport};
+use crate::queue::{LeaseTable, QueueStats};
+use crate::transport::{Claimed, Delivered, Transport};
 
 // ---- the request/response vocabulary -------------------------------------
 
@@ -133,35 +129,9 @@ enum Response {
 
 // ---- coordinator side ----------------------------------------------------
 
-/// One outstanding claim, tracked in coordinator memory. A worker that
-/// vanishes (crash, killed process, dropped connection) simply stops
-/// renewing its side of the story; the lease ages out and the envelope
-/// is re-published.
 #[derive(Debug)]
-struct Lease {
-    id: u64,
-    envelope: String,
-    claimed_at: Instant,
-    requeued: bool,
-}
-
-#[derive(Debug, Default)]
-struct TcpState {
-    /// Published envelopes, claimable lowest job id first (matching the
-    /// filesystem transport's sorted-file-name order); the second key
-    /// component separates re-publications of the same id.
-    pending: BTreeMap<(u64, u64), String>,
-    next_submission: u64,
-    leases: Vec<Lease>,
-    results: BTreeMap<u64, String>,
-    conflicts: Vec<String>,
-    stats: QueueStats,
-    stop: bool,
-}
-
-#[derive(Debug, Default)]
 struct TcpShared {
-    state: Mutex<TcpState>,
+    table: LeaseTable,
     accept_shutdown: AtomicBool,
     /// Accepted connections over the broker's lifetime — with keep-alive
     /// clients this stays at one per worker process, however many
@@ -174,12 +144,6 @@ struct TcpShared {
 }
 
 impl TcpShared {
-    fn lock(&self) -> Result<MutexGuard<'_, TcpState>, String> {
-        self.state
-            .lock()
-            .map_err(|_| "tcp broker state poisoned".to_owned())
-    }
-
     /// Track a connection for shutdown-on-drop; returns its slot.
     fn register(&self, stream: Option<TcpStream>) -> usize {
         let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
@@ -200,9 +164,10 @@ impl TcpShared {
     }
 }
 
-/// The coordinator half of the TCP transport: listener, queue, results
-/// and leases. Implements [`Transport`] directly against its own state —
-/// the coordinator never talks to itself over a socket.
+/// The coordinator half: a lease table plus the accept loop that serves
+/// it to worker processes. Dropping the broker closes the listener and
+/// severs every connection; the table itself lives on in the
+/// coordinator's other handles.
 #[derive(Debug)]
 pub struct TcpBroker {
     shared: Arc<TcpShared>,
@@ -214,8 +179,9 @@ impl TcpBroker {
     /// Bind a listener (e.g. `"127.0.0.1:0"` for an OS-chosen loopback
     /// port, `"0.0.0.0:9999"` to accept workers from other machines —
     /// trusted networks only, the protocol carries no authentication
-    /// yet) and start serving requests in a background thread.
-    pub fn bind(addr: &str) -> Result<TcpBroker, String> {
+    /// yet) and serve `table` to every worker that connects, from a
+    /// background thread.
+    pub fn bind(addr: &str, table: LeaseTable) -> Result<TcpBroker, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
         let local = listener
             .local_addr()
@@ -223,7 +189,12 @@ impl TcpBroker {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("nonblocking listener: {e}"))?;
-        let shared = Arc::new(TcpShared::default());
+        let shared = Arc::new(TcpShared {
+            table,
+            accept_shutdown: AtomicBool::new(false),
+            connections_served: AtomicUsize::new(0),
+            conns: Mutex::new(Vec::new()),
+        });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             while !accept_shared.accept_shutdown.load(Ordering::Relaxed) {
@@ -254,14 +225,6 @@ impl TcpBroker {
     /// is the OS's pick when the bind address ended in `:0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Leases currently outstanding (claimed, no delivery yet).
-    pub fn active_leases(&self) -> usize {
-        self.shared
-            .lock()
-            .map(|state| state.leases.iter().filter(|l| !l.requeued).count())
-            .unwrap_or(0)
     }
 
     /// Connections the accept loop has served so far. Keep-alive clients
@@ -312,7 +275,7 @@ fn serve_connection(mut stream: TcpStream, shared: &TcpShared) {
             Ok(FrameRead::Closed) | Err(_) => return,
         };
         let response = match serde_json::from_str::<Request>(&text) {
-            Ok(request) => answer(&request, shared),
+            Ok(request) => answer(request, &shared.table),
             Err(e) => Response::Error {
                 message: format!("malformed request: {e}"),
             },
@@ -324,236 +287,55 @@ fn serve_connection(mut stream: TcpStream, shared: &TcpShared) {
     }
 }
 
-/// Execute one request against the coordinator state.
-fn answer(request: &Request, shared: &TcpShared) -> Response {
-    let fail = |message: String| Response::Error { message };
-    let mut state = match shared.lock() {
-        Ok(state) => state,
-        Err(e) => return fail(e),
-    };
-    match request {
-        Request::Ping => Response::Ok,
-        Request::Publish { id, envelope } => {
-            let sub = state.next_submission;
-            state.next_submission += 1;
-            state.pending.insert((*id, sub), envelope.clone());
-            Response::Ok
-        }
-        Request::Claim { worker: _worker } => {
-            if state.stop {
-                return Response::Empty;
-            }
-            match state.pending.pop_first() {
-                None => Response::Empty,
-                Some(((id, _sub), envelope)) => {
-                    state.leases.push(Lease {
-                        id,
-                        envelope: envelope.clone(),
-                        claimed_at: Instant::now(),
-                        requeued: false,
-                    });
-                    state.stats.steals += 1;
-                    Response::Job { id, envelope }
-                }
-            }
-        }
-        Request::Heartbeat {
-            worker: _worker,
-            id,
-        } => {
-            // Restart the lease clock for every live lease on the id. A
-            // heartbeat for an already-requeued or delivered job finds
-            // nothing to renew — that is fine, the worker's eventual
-            // duplicate delivery is compared-and-discarded as usual.
-            let now = Instant::now();
-            for lease in state
-                .leases
-                .iter_mut()
-                .filter(|l| !l.requeued && l.id == *id)
-            {
-                lease.claimed_at = now;
-            }
-            Response::Ok
-        }
+/// Execute one request against the lease table.
+fn answer(request: Request, table: &LeaseTable) -> Response {
+    let ok = |()| Response::Ok;
+    let response = match request {
+        Request::Ping => Ok(Response::Ok),
+        Request::Publish { id, envelope } => table.publish(id, &envelope).map(ok),
+        Request::Claim { worker } => table.claim(&worker).map(|claimed| match claimed {
+            Some(Claimed { id, envelope }) => Response::Job { id, envelope },
+            None => Response::Empty,
+        }),
+        Request::Heartbeat { worker, id } => table.heartbeat(&worker, id).map(ok),
         Request::Deliver {
-            worker: _worker,
+            worker,
             id,
             envelope,
-        } => {
-            if let Some(existing) = state.results.get(id) {
-                return Response::Duplicate {
-                    existing: existing.clone(),
-                };
-            }
-            state.results.insert(*id, envelope.clone());
-            // The delivery ends every lease on this id — including a
-            // re-published straggler's, whose eventual duplicate will be
-            // compared and discarded.
-            state.leases.retain(|lease| lease.id != *id);
-            Response::Accepted
-        }
-        Request::DiscardDuplicate { .. } => {
-            state.stats.duplicates_discarded += 1;
-            Response::Ok
-        }
+        } => table
+            .deliver(&worker, id, &envelope)
+            .map(|delivered| match delivered {
+                Delivered::Accepted => Response::Accepted,
+                Delivered::Duplicate { existing } => Response::Duplicate { existing },
+            }),
+        Request::DiscardDuplicate { worker, id } => table.discard_duplicate(&worker, id).map(ok),
         Request::RecordConflict {
             worker,
             id,
-            envelope: _envelope,
-        } => {
-            state.conflicts.push(format!(
-                "job {id}: worker {worker:?} delivered bytes diverging from the stored result"
-            ));
-            state.stats.conflicts += 1;
-            Response::Ok
-        }
-        Request::Fetch { id } => match state.results.get(id) {
-            Some(envelope) => Response::Found {
-                envelope: envelope.clone(),
-            },
+            envelope,
+        } => table.record_conflict(&worker, id, &envelope).map(ok),
+        Request::Fetch { id } => table.fetch(id).map(|found| match found {
+            Some(envelope) => Response::Found { envelope },
             None => Response::NotFound,
-        },
-        Request::Requeue { base_timeout_ms } => {
-            let count = requeue_pass(&mut state, Duration::from_millis(*base_timeout_ms));
-            Response::Requeued {
+        }),
+        Request::Requeue { base_timeout_ms } => table
+            .requeue_expired(Duration::from_millis(base_timeout_ms))
+            .map(|count| Response::Requeued {
                 count: count as u64,
-            }
-        }
-        Request::Stop => {
-            state.stop = true;
-            Response::Ok
-        }
-        Request::Stopped => Response::Flag { value: state.stop },
-        Request::Conflicts => Response::ConflictList {
-            items: state.conflicts.clone(),
-        },
-        Request::Counters => Response::CounterValues {
-            steals: state.stats.steals as u64,
-            requeues: state.stats.requeues as u64,
-            duplicates_discarded: state.stats.duplicates_discarded as u64,
-            conflicts: state.stats.conflicts as u64,
-        },
-    }
-}
-
-/// Re-publish expired leases; shared by the direct ([`TcpBroker`]) and
-/// remote ([`TcpClient`]) paths.
-fn requeue_pass(state: &mut TcpState, base_timeout: Duration) -> usize {
-    let now = Instant::now();
-    let mut prior: HashMap<u64, u32> = HashMap::new();
-    for lease in &state.leases {
-        if lease.requeued {
-            *prior.entry(lease.id).or_default() += 1;
-        }
-    }
-    let mut republish: Vec<(u64, String)> = Vec::new();
-    for lease in &mut state.leases {
-        if lease.requeued || state.results.contains_key(&lease.id) {
-            continue;
-        }
-        let required = requeue_backoff(base_timeout, prior.get(&lease.id).copied().unwrap_or(0));
-        if now.duration_since(lease.claimed_at) < required {
-            continue;
-        }
-        lease.requeued = true;
-        republish.push((lease.id, lease.envelope.clone()));
-    }
-    let count = republish.len();
-    for (id, envelope) in republish {
-        let sub = state.next_submission;
-        state.next_submission += 1;
-        state.pending.insert((id, sub), envelope);
-    }
-    state.stats.requeues += count;
-    count
-}
-
-/// Interpret an [`answer`]/[`TcpClient::call`] response as the
-/// [`Transport`] return values — the one decoding table shared by the
-/// coordinator's in-memory dispatch and the worker's socket exchange, so
-/// the two halves cannot drift.
-mod decode {
-    use super::*;
-
-    pub fn unit(response: Response, op: &str) -> Result<(), String> {
-        match response {
-            Response::Ok => Ok(()),
-            other => Err(format!("unexpected {op} response {other:?}")),
-        }
-    }
-
-    pub fn claim(response: Response) -> Result<Option<Claimed>, String> {
-        match response {
-            Response::Job { id, envelope } => Ok(Some(Claimed { id, envelope })),
-            Response::Empty => Ok(None),
-            other => Err(format!("unexpected claim response {other:?}")),
-        }
-    }
-
-    pub fn deliver(response: Response) -> Result<Delivered, String> {
-        match response {
-            Response::Accepted => Ok(Delivered::Accepted),
-            Response::Duplicate { existing } => Ok(Delivered::Duplicate { existing }),
-            other => Err(format!("unexpected deliver response {other:?}")),
-        }
-    }
-
-    pub fn fetch(response: Response) -> Result<Option<String>, String> {
-        match response {
-            Response::Found { envelope } => Ok(Some(envelope)),
-            Response::NotFound => Ok(None),
-            other => Err(format!("unexpected fetch response {other:?}")),
-        }
-    }
-
-    pub fn requeued(response: Response) -> Result<usize, String> {
-        match response {
-            Response::Requeued { count } => Ok(count as usize),
-            other => Err(format!("unexpected requeue response {other:?}")),
-        }
-    }
-
-    pub fn flag(response: Response) -> Result<bool, String> {
-        match response {
-            Response::Flag { value } => Ok(value),
-            other => Err(format!("unexpected stopped response {other:?}")),
-        }
-    }
-
-    pub fn conflicts(response: Response) -> Result<Vec<String>, String> {
-        match response {
-            Response::ConflictList { items } => Ok(items),
-            other => Err(format!("unexpected conflicts response {other:?}")),
-        }
-    }
-
-    pub fn counters(response: Response) -> Result<QueueStats, String> {
-        match response {
-            Response::CounterValues {
-                steals,
-                requeues,
-                duplicates_discarded,
-                conflicts,
-            } => Ok(QueueStats {
-                steals: steals as usize,
-                requeues: requeues as usize,
-                duplicates_discarded: duplicates_discarded as usize,
-                conflicts: conflicts as usize,
             }),
-            other => Err(format!("unexpected counters response {other:?}")),
-        }
-    }
-}
-
-impl TcpBroker {
-    /// Dispatch a request against the local state, surfacing
-    /// [`Response::Error`] as `Err` like a remote exchange would.
-    fn local(&self, request: &Request) -> Result<Response, String> {
-        match answer(request, &self.shared) {
-            Response::Error { message } => Err(message),
-            response => Ok(response),
-        }
-    }
+        Request::Stop => table.stop().map(ok),
+        Request::Stopped => table.stopped().map(|value| Response::Flag { value }),
+        Request::Conflicts => table
+            .conflicts()
+            .map(|items| Response::ConflictList { items }),
+        Request::Counters => table.counters().map(|c| Response::CounterValues {
+            steals: c.steals as u64,
+            requeues: c.requeues as u64,
+            duplicates_discarded: c.duplicates_discarded as u64,
+            conflicts: c.conflicts as u64,
+        }),
+    };
+    response.unwrap_or_else(|message| Response::Error { message })
 }
 
 // ---- worker side ---------------------------------------------------------
@@ -590,10 +372,7 @@ impl TcpClient {
 
     /// One round trip: is the coordinator reachable and answering?
     pub fn ping(&self) -> Result<(), String> {
-        match self.call(&Request::Ping)? {
-            Response::Ok => Ok(()),
-            other => Err(format!("unexpected ping response {other:?}")),
-        }
+        self.unit(&Request::Ping, "ping")
     }
 
     /// One exchange over the persistent connection. A failure on the
@@ -648,99 +427,119 @@ fn exchange(stream: &mut TcpStream, encoded: &str, cfg: &FrameConfig) -> Result<
     }
 }
 
-/// The [`Transport`] methods expressed once over a request dispatcher —
-/// `TcpBroker::local` (coordinator, in-memory) and `TcpClient::call`
-/// (worker, over the socket) get the exact same request construction
-/// and response decoding, so the two halves cannot drift.
-macro_rules! transport_via_requests {
-    ($ty:ty, $dispatch:ident) => {
-        impl Transport for $ty {
-            fn publish(&self, id: u64, envelope: &str) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::Publish {
-                        id,
-                        envelope: envelope.to_owned(),
-                    })?,
-                    "publish",
-                )
-            }
-
-            fn claim(&self, worker: &str) -> Result<Option<Claimed>, String> {
-                decode::claim(self.$dispatch(&Request::Claim {
-                    worker: worker.to_owned(),
-                })?)
-            }
-
-            fn heartbeat(&self, worker: &str, id: u64) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::Heartbeat {
-                        worker: worker.to_owned(),
-                        id,
-                    })?,
-                    "heartbeat",
-                )
-            }
-
-            fn deliver(&self, worker: &str, id: u64, envelope: &str) -> Result<Delivered, String> {
-                decode::deliver(self.$dispatch(&Request::Deliver {
-                    worker: worker.to_owned(),
-                    id,
-                    envelope: envelope.to_owned(),
-                })?)
-            }
-
-            fn discard_duplicate(&self, worker: &str, id: u64) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::DiscardDuplicate {
-                        worker: worker.to_owned(),
-                        id,
-                    })?,
-                    "discard",
-                )
-            }
-
-            fn record_conflict(&self, worker: &str, id: u64, envelope: &str) -> Result<(), String> {
-                decode::unit(
-                    self.$dispatch(&Request::RecordConflict {
-                        worker: worker.to_owned(),
-                        id,
-                        envelope: envelope.to_owned(),
-                    })?,
-                    "conflict",
-                )
-            }
-
-            fn fetch(&self, id: u64) -> Result<Option<String>, String> {
-                decode::fetch(self.$dispatch(&Request::Fetch { id })?)
-            }
-
-            fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
-                decode::requeued(self.$dispatch(&Request::Requeue {
-                    base_timeout_ms: base_timeout.as_millis() as u64,
-                })?)
-            }
-
-            fn stop(&self) -> Result<(), String> {
-                decode::unit(self.$dispatch(&Request::Stop)?, "stop")
-            }
-
-            fn stopped(&self) -> Result<bool, String> {
-                decode::flag(self.$dispatch(&Request::Stopped)?)
-            }
-
-            fn conflicts(&self) -> Result<Vec<String>, String> {
-                decode::conflicts(self.$dispatch(&Request::Conflicts)?)
-            }
-
-            fn counters(&self) -> Result<QueueStats, String> {
-                decode::counters(self.$dispatch(&Request::Counters)?)
-            }
-        }
-    };
+fn unexpected(op: &str, response: Response) -> String {
+    format!("unexpected {op} response {response:?}")
 }
 
-transport_via_requests!(TcpBroker, local);
-transport_via_requests!(TcpClient, call);
+impl TcpClient {
+    /// An exchange whose only success answer is [`Response::Ok`].
+    fn unit(&self, request: &Request, op: &str) -> Result<(), String> {
+        match self.call(request)? {
+            Response::Ok => Ok(()),
+            other => Err(unexpected(op, other)),
+        }
+    }
+}
+
+impl Transport for TcpClient {
+    fn publish(&self, id: u64, envelope: &str) -> Result<(), String> {
+        let envelope = envelope.to_owned();
+        self.unit(&Request::Publish { id, envelope }, "publish")
+    }
+
+    fn claim(&self, worker: &str) -> Result<Option<Claimed>, String> {
+        let worker = worker.to_owned();
+        match self.call(&Request::Claim { worker })? {
+            Response::Job { id, envelope } => Ok(Some(Claimed { id, envelope })),
+            Response::Empty => Ok(None),
+            other => Err(unexpected("claim", other)),
+        }
+    }
+
+    fn heartbeat(&self, worker: &str, id: u64) -> Result<(), String> {
+        let worker = worker.to_owned();
+        self.unit(&Request::Heartbeat { worker, id }, "heartbeat")
+    }
+
+    fn deliver(&self, worker: &str, id: u64, envelope: &str) -> Result<Delivered, String> {
+        let (worker, envelope) = (worker.to_owned(), envelope.to_owned());
+        match self.call(&Request::Deliver {
+            worker,
+            id,
+            envelope,
+        })? {
+            Response::Accepted => Ok(Delivered::Accepted),
+            Response::Duplicate { existing } => Ok(Delivered::Duplicate { existing }),
+            other => Err(unexpected("deliver", other)),
+        }
+    }
+
+    fn discard_duplicate(&self, worker: &str, id: u64) -> Result<(), String> {
+        let worker = worker.to_owned();
+        self.unit(&Request::DiscardDuplicate { worker, id }, "discard")
+    }
+
+    fn record_conflict(&self, worker: &str, id: u64, envelope: &str) -> Result<(), String> {
+        let (worker, envelope) = (worker.to_owned(), envelope.to_owned());
+        let request = Request::RecordConflict {
+            worker,
+            id,
+            envelope,
+        };
+        self.unit(&request, "conflict")
+    }
+
+    fn fetch(&self, id: u64) -> Result<Option<String>, String> {
+        match self.call(&Request::Fetch { id })? {
+            Response::Found { envelope } => Ok(Some(envelope)),
+            Response::NotFound => Ok(None),
+            other => Err(unexpected("fetch", other)),
+        }
+    }
+
+    fn requeue_expired(&self, base_timeout: Duration) -> Result<usize, String> {
+        let base_timeout_ms = base_timeout.as_millis() as u64;
+        match self.call(&Request::Requeue { base_timeout_ms })? {
+            Response::Requeued { count } => Ok(count as usize),
+            other => Err(unexpected("requeue", other)),
+        }
+    }
+
+    fn stop(&self) -> Result<(), String> {
+        self.unit(&Request::Stop, "stop")
+    }
+
+    fn stopped(&self) -> Result<bool, String> {
+        match self.call(&Request::Stopped)? {
+            Response::Flag { value } => Ok(value),
+            other => Err(unexpected("stopped", other)),
+        }
+    }
+
+    fn conflicts(&self) -> Result<Vec<String>, String> {
+        match self.call(&Request::Conflicts)? {
+            Response::ConflictList { items } => Ok(items),
+            other => Err(unexpected("conflicts", other)),
+        }
+    }
+
+    fn counters(&self) -> Result<QueueStats, String> {
+        match self.call(&Request::Counters)? {
+            Response::CounterValues {
+                steals,
+                requeues,
+                duplicates_discarded,
+                conflicts,
+            } => Ok(QueueStats {
+                steals: steals as usize,
+                requeues: requeues as usize,
+                duplicates_discarded: duplicates_discarded as usize,
+                conflicts: conflicts as usize,
+            }),
+            other => Err(unexpected("counters", other)),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -777,19 +576,22 @@ mod tests {
         }
     }
 
-    fn pair() -> (Broker<TcpBroker>, Broker<TcpClient>) {
-        let server = TcpBroker::bind("127.0.0.1:0").expect("bind loopback");
+    /// A listener, the coordinator's queue over the table it serves,
+    /// and a worker's queue over a socket client.
+    fn pair() -> (TcpBroker, Broker<LeaseTable>, Broker<TcpClient>) {
+        let table = LeaseTable::new();
+        let server = TcpBroker::bind("127.0.0.1:0", table.clone()).expect("bind loopback");
+        let coordinator = Broker::new(table);
         let client = TcpClient::new(server.local_addr().to_string());
-        (Broker::new(server), Broker::new(client))
+        (server, coordinator, Broker::new(client))
     }
 
     #[test]
     fn steal_over_sockets_is_exclusive_and_fifo_by_id() {
-        let (coordinator, worker) = pair();
+        let (_server, coordinator, worker) = pair();
         coordinator.submit(&dummy_job(1)).unwrap();
         coordinator.submit(&dummy_job(0)).unwrap();
-        // Lowest id first, regardless of submission order — matching the
-        // filesystem transport's sorted-name semantics.
+        // Lowest id first, regardless of submission order.
         assert_eq!(worker.steal("a").unwrap().unwrap().id, 0);
         assert_eq!(worker.steal("b").unwrap().unwrap().id, 1);
         assert!(worker.steal("a").unwrap().is_none());
@@ -799,7 +601,7 @@ mod tests {
 
     #[test]
     fn one_keepalive_connection_serves_many_operations() {
-        let (coordinator, worker) = pair();
+        let (server, coordinator, worker) = pair();
         coordinator.submit(&dummy_job(0)).unwrap();
         // A representative worker lifetime: probe, steal, heartbeat,
         // deliver, poll for shutdown — all over the socket.
@@ -810,11 +612,11 @@ mod tests {
         assert!(!worker.shutdown_requested().unwrap());
         assert_eq!(worker.stats().unwrap().steals, 1);
         // Every operation above shared one accepted connection. (The
-        // coordinator side dispatches in-memory and never dials itself.)
-        assert_eq!(coordinator.transport().connections_served(), 1);
+        // coordinator calls its table directly and never dials itself.)
+        assert_eq!(server.connections_served(), 1);
         // A clone is a handle to the same keep-alive socket.
         worker.transport().clone().ping().unwrap();
-        assert_eq!(coordinator.transport().connections_served(), 1);
+        assert_eq!(server.connections_served(), 1);
     }
 
     #[test]
@@ -850,44 +652,8 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_restarts_the_lease_clock() {
-        // Drive the coordinator state directly — no sockets, no sleeps:
-        // the lease age is manipulated by hand so the test is exact.
-        let shared = TcpShared::default();
-        let publish = Request::Publish {
-            id: 5,
-            envelope: "envelope".to_owned(),
-        };
-        assert!(matches!(answer(&publish, &shared), Response::Ok));
-        let claim = Request::Claim {
-            worker: "w".to_owned(),
-        };
-        assert!(matches!(answer(&claim, &shared), Response::Job { .. }));
-        let age = |shared: &TcpShared, by: Duration| {
-            shared.lock().unwrap().leases[0].claimed_at = Instant::now() - by;
-        };
-        // The lease is a minute old — far past a 30s timeout — but a
-        // heartbeat lands before the requeue pass: the clock restarts
-        // and the job is NOT treated as a straggler.
-        age(&shared, Duration::from_secs(60));
-        let beat = Request::Heartbeat {
-            worker: "w".to_owned(),
-            id: 5,
-        };
-        assert!(matches!(answer(&beat, &shared), Response::Ok));
-        let timeout = Duration::from_secs(30);
-        assert_eq!(requeue_pass(&mut shared.lock().unwrap(), timeout), 0);
-        // The same aged lease without a heartbeat is requeued.
-        age(&shared, Duration::from_secs(60));
-        assert_eq!(requeue_pass(&mut shared.lock().unwrap(), timeout), 1);
-        // Heartbeats for requeued (or unknown) ids renew nothing.
-        assert!(matches!(answer(&beat, &shared), Response::Ok));
-        assert_eq!(shared.lock().unwrap().stats.requeues, 1);
-    }
-
-    #[test]
     fn results_roundtrip_and_duplicates_are_checked() {
-        let (coordinator, worker) = pair();
+        let (_server, coordinator, worker) = pair();
         worker.complete("a", &dummy_result(4, "a", "same")).unwrap();
         worker.complete("b", &dummy_result(4, "b", "same")).unwrap();
         assert_eq!(coordinator.fetch_result(4).unwrap().unwrap().worker, "a");
@@ -904,51 +670,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_worker_lease_expires_and_is_republished() {
-        let (coordinator, worker) = pair();
-        coordinator.submit(&dummy_job(9)).unwrap();
-        // The worker claims the job and then "dies" — the lease is all
-        // the coordinator remembers of it.
-        assert_eq!(worker.steal("doomed").unwrap().unwrap().id, 9);
-        assert!(worker.steal("other").unwrap().is_none());
-        assert_eq!(coordinator.transport().active_leases(), 1);
-        // The lease is immediately stale under a zero timeout, and is
-        // re-published exactly once.
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            0
-        );
-        assert_eq!(worker.steal("other").unwrap().unwrap().id, 9);
-        worker
-            .complete("other", &dummy_result(9, "other", "done"))
-            .unwrap();
-        assert_eq!(
-            coordinator
-                .transport()
-                .requeue_expired(Duration::ZERO)
-                .unwrap(),
-            0
-        );
-        assert_eq!(coordinator.stats().unwrap().requeues, 1);
-        assert_eq!(
-            coordinator.fetch_result(9).unwrap().unwrap().worker,
-            "other"
-        );
-    }
-
-    #[test]
     fn shutdown_stops_handing_out_pending_jobs() {
-        let (coordinator, worker) = pair();
+        let (_server, coordinator, worker) = pair();
         coordinator.submit(&dummy_job(0)).unwrap();
         coordinator.request_shutdown().unwrap();
         assert!(worker.shutdown_requested().unwrap());
@@ -959,9 +682,9 @@ mod tests {
     fn a_forget_request_is_a_typed_error_not_a_panic() {
         // `forget` is not part of the request vocabulary: the coordinator
         // answers with an error response and keeps serving the connection.
-        let (coordinator, _worker) = pair();
+        let (server, _coordinator, _worker) = pair();
         let cfg = FrameConfig::default();
-        let mut stream = TcpStream::connect(coordinator.transport().local_addr()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         configure_stream(&stream, &cfg).unwrap();
         let mut exchange = |request: &str| -> Response {
             write_frame(&mut stream, request, &cfg).unwrap();
@@ -980,11 +703,11 @@ mod tests {
 
     #[test]
     fn ping_fails_once_the_coordinator_is_gone() {
-        let (coordinator, worker) = pair();
+        let (server, _coordinator, worker) = pair();
         let client = worker.transport().clone();
         client.ping().expect("coordinator up");
-        let addr = coordinator.transport().local_addr().to_string();
-        drop(coordinator);
+        let addr = server.local_addr().to_string();
+        drop(server);
         // The listener is closed and the port released. The cached
         // keep-alive connection is dead, the redial finds no listener:
         // the probe the worker's reconnect loop uses must fail.

@@ -3,24 +3,24 @@
 //! The protocol of a distributed run — *publish* a job for exclusive
 //! claiming, *claim* it under a lease, *deliver* the result, re-publish
 //! straggling leases with backoff, compare-and-discard duplicate
-//! completions, *stop* — is independent of the medium carrying the bytes.
-//! [`Transport`] captures exactly that seam: five operations on **opaque,
-//! length-delimited wire envelopes** (the `wire.rs` v1 messages produced
+//! completions, *stop* — is independent of where the caller sits.
+//! [`Transport`] captures exactly that seam: operations on **opaque,
+//! length-delimited wire envelopes** (the `wire.rs` messages produced
 //! by [`crate::job::encode_job`] / [`crate::job::encode_result`]), with
-//! no knowledge of
-//! jobs, results, pools or symbols. [`Broker`] layers the protocol on
-//! top of any transport: it encodes/decodes envelopes, verifies the
+//! no knowledge of jobs, results, pools or symbols. [`Broker`] layers the
+//! protocol on top: it encodes/decodes envelopes, verifies the
 //! determinism invariant on duplicate deliveries, and records diverging
-//! duplicates as conflicts — once, for every backend.
+//! duplicates as conflicts.
 //!
-//! Two transports implement the seam:
+//! Two types implement the seam:
 //!
-//! * [`FsTransport`](crate::broker::FsTransport) — a spool directory on a
-//!   shared filesystem; claiming is one atomic rename.
-//! * [`TcpBroker`](crate::tcp::TcpBroker) /
-//!   [`TcpClient`](crate::tcp::TcpClient) — a coordinator-side socket
-//!   listener with leases tracked in coordinator memory; claiming is one
-//!   framed request/response exchange.
+//! * [`LeaseTable`](crate::queue::LeaseTable) — the queue itself, in
+//!   coordinator memory. The coordinator and its in-process worker
+//!   threads call it directly.
+//! * [`TcpClient`](crate::tcp::TcpClient) — a worker process's handle
+//!   on a remote lease table: every operation is one framed
+//!   request/response exchange with the coordinator's
+//!   [`TcpBroker`](crate::tcp::TcpBroker).
 //!
 //! Determinism does not depend on the transport any more than it depends
 //! on the queue: results are pure functions of job bytes, so the only
@@ -59,18 +59,19 @@ pub enum Delivered {
     },
 }
 
-/// A medium for the work-stealing protocol. Implementations move opaque
-/// envelopes and track leases; everything protocol-shaped (encoding,
-/// duplicate comparison, conflict semantics) lives in [`Broker`].
+/// Access to a lease table for the work-stealing protocol, in memory or
+/// over a socket. Implementations move opaque envelopes and track
+/// leases; everything protocol-shaped (encoding, duplicate comparison,
+/// conflict semantics) lives in [`Broker`].
 ///
 /// All methods take `&self`: transports are internally synchronized and
 /// shared between coordinator and worker threads/processes.
 pub trait Transport: Send + Sync {
     /// Make an envelope available for exclusive claiming under `id`
     /// (coordinator side, and transport-internally for re-publication).
-    /// Publishing the same id again is allowed — speculative duplicates
-    /// and straggler retries enter this way — and each publication is
-    /// claimable exactly once. Claims are handed out lowest id first.
+    /// Publishing the same id again is allowed — straggler retries
+    /// enter this way — and each publication is claimable exactly once.
+    /// Claims are handed out lowest id first.
     fn publish(&self, id: u64, envelope: &str) -> Result<(), String>;
 
     /// Exclusively claim the next published envelope and start a lease
@@ -82,12 +83,10 @@ pub trait Transport: Send + Sync {
     /// Renew the lease on `id`: the worker is alive and still computing,
     /// so the lease clock restarts and a legitimately long job is not
     /// requeued as a straggler by [`Transport::requeue_expired`].
-    /// Best-effort — a missed heartbeat degrades to a spurious requeue
+    /// Best-effort: a missed heartbeat degrades to a spurious requeue
     /// whose duplicate result is compared and discarded, never to lost
-    /// work — so the default is a no-op for media without a cheap renew.
-    fn heartbeat(&self, _worker: &str, _id: u64) -> Result<(), String> {
-        Ok(())
-    }
+    /// work.
+    fn heartbeat(&self, worker: &str, id: u64) -> Result<(), String>;
 
     /// Deliver a result envelope for `id`, ending its leases (worker
     /// side). The first delivery per id wins; later ones return
@@ -132,9 +131,8 @@ pub trait Transport: Send + Sync {
 }
 
 /// How long a lease must be idle before its `n`-th re-publication:
-/// `base × 2^min(n, 6)`. Shared by every transport so a legitimately
-/// long-running job is retried with the same exponential backoff
-/// whatever medium carries it.
+/// `base × 2^min(n, 6)`, so a legitimately long-running job is retried
+/// with exponential backoff rather than at every timeout.
 pub fn requeue_backoff(base: Duration, prior_requeues: u32) -> Duration {
     base.saturating_mul(1 << prior_requeues.min(6))
 }
@@ -142,7 +140,7 @@ pub fn requeue_backoff(base: Duration, prior_requeues: u32) -> Duration {
 /// The work-stealing protocol over any [`Transport`]: a [`JobQueue`]
 /// whose job/result encoding, duplicate compare-and-discard and conflict
 /// recording are written once, here, against opaque envelopes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Broker<T> {
     transport: T,
 }
@@ -153,8 +151,8 @@ impl<T: Transport> Broker<T> {
         Broker { transport }
     }
 
-    /// The underlying transport (for medium-specific operations:
-    /// spool freshness checks, listener addresses, …).
+    /// The underlying transport (for operations outside [`JobQueue`]:
+    /// straggler requeues, lease counts, …).
     pub fn transport(&self) -> &T {
         &self.transport
     }

@@ -1,14 +1,13 @@
 //! The worker loop: steal, execute, deliver, repeat.
 //!
 //! The same loop serves every deployment shape — in-process threads over
-//! an [`InProcessQueue`](crate::queue::InProcessQueue), and the
-//! `affidavit-worker` binary over either transport
-//! ([`FsBroker`](crate::broker::FsBroker) or
-//! [`TcpClient`](crate::tcp::TcpClient)) — because [`JobQueue`] hides
-//! the medium. [`run_worker_with_reconnect`] wraps the loop for the
-//! binary: a queue error (spool directory gone, coordinator socket dead)
-//! triggers a bounded probe-and-backoff reconnect instead of an
-//! immediate crash, and a broker that never comes back is reported as
+//! the coordinator's [`LeaseTable`](crate::queue::LeaseTable), and the
+//! `affidavit-worker` binary over a
+//! [`TcpClient`](crate::tcp::TcpClient) — because [`JobQueue`] hides
+//! where the table lives. [`run_worker_with_reconnect`] wraps the loop
+//! for the binary: a queue error (coordinator socket dead) triggers a
+//! bounded probe-and-backoff reconnect instead of an immediate crash,
+//! and a broker that never comes back is reported as
 //! [`WorkerExit::BrokerLost`] so the process can exit with a distinct
 //! code.
 
@@ -43,14 +42,13 @@ pub struct WorkerStats {
 /// submitting — the worker naps and tries again, with the nap growing
 /// from `poll` up to `poll × 16` over consecutive empty polls (and
 /// snapping back to `poll` after a successful steal). The backoff keeps
-/// an idle worker from hammering the broker — each empty poll is a
-/// directory scan on the fs transport and two exchanges on the tcp
-/// transport's keep-alive connection — at the price of at most `poll ×
-/// 16` extra latency
-/// picking up late work or noticing shutdown. Once shutdown is
-/// requested the queue stops handing out work (pending jobs at that
-/// point belong to an aborting run or are redundant duplicates), so the
-/// worker finishes its current job at most and exits.
+/// an idle worker from hammering the broker — each empty poll of a
+/// worker process is two exchanges on its keep-alive connection — at
+/// the price of at most `poll × 16` extra latency picking up late work
+/// or noticing shutdown. Once shutdown is requested the queue stops
+/// handing out work (pending jobs at that point belong to an aborting
+/// run or are straggler retries), so the worker finishes its current
+/// job at most and exits.
 pub fn run_worker(
     queue: &dyn JobQueue,
     worker_id: &str,
@@ -145,8 +143,8 @@ fn with_heartbeats<R>(
 pub enum WorkerExit {
     /// Clean shutdown: the broker requested stop and the queue drained.
     Completed(WorkerStats),
-    /// The broker vanished (spool directory removed, coordinator socket
-    /// dead) and stayed unreachable through the whole reconnect budget.
+    /// The broker vanished (coordinator socket dead) and stayed
+    /// unreachable through the whole reconnect budget.
     BrokerLost {
         /// Probe attempts spent before giving up.
         attempts: usize,
@@ -201,7 +199,8 @@ pub fn run_worker_with_reconnect(
 mod tests {
     use super::*;
     use crate::job::{Job, JobPayload};
-    use crate::queue::InProcessQueue;
+    use crate::queue::LeaseTable;
+    use crate::transport::Broker;
     use crate::wire::WireInstance;
     use affidavit_core::AffidavitConfig;
 
@@ -223,7 +222,7 @@ mod tests {
 
     #[test]
     fn processes_jobs_then_exits_on_shutdown() {
-        let queue = InProcessQueue::new();
+        let queue = Broker::new(LeaseTable::new());
         for id in 0..3 {
             queue.submit(&tiny_job(id)).unwrap();
         }
@@ -246,7 +245,7 @@ mod tests {
     fn long_jobs_heartbeat_their_lease_and_short_ones_do_not() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         struct Recording {
-            inner: InProcessQueue,
+            inner: Broker<LeaseTable>,
             beats: AtomicUsize,
         }
         impl JobQueue for Recording {
@@ -280,7 +279,7 @@ mod tests {
             }
         }
         let queue = Recording {
-            inner: InProcessQueue::new(),
+            inner: Broker::new(LeaseTable::new()),
             beats: AtomicUsize::new(0),
         };
         // A job outliving several intervals renews its lease repeatedly...
@@ -306,7 +305,7 @@ mod tests {
                 Err("gone".into())
             }
             fn steal(&self, _: &str) -> Result<Option<Job>, String> {
-                Err("spool removed".into())
+                Err("connection refused".into())
             }
             fn complete(&self, _: &str, _: &crate::job::JobResult) -> Result<(), String> {
                 Err("gone".into())
@@ -338,7 +337,7 @@ mod tests {
             exit,
             WorkerExit::BrokerLost {
                 attempts: 3,
-                error: "spool removed".to_owned()
+                error: "connection refused".to_owned()
             }
         );
     }
@@ -349,7 +348,7 @@ mod tests {
         // A queue that fails twice, then works: the worker must ride out
         // the outage and still reach a clean shutdown.
         struct FlakyQueue {
-            inner: InProcessQueue,
+            inner: Broker<LeaseTable>,
             failures_left: AtomicUsize,
         }
         impl JobQueue for FlakyQueue {
@@ -386,7 +385,7 @@ mod tests {
             }
         }
         let queue = FlakyQueue {
-            inner: InProcessQueue::new(),
+            inner: Broker::new(LeaseTable::new()),
             failures_left: AtomicUsize::new(2),
         };
         queue.inner.submit(&tiny_job(0)).unwrap();
@@ -402,7 +401,7 @@ mod tests {
         // The abort path: once shutdown is requested, pending jobs are
         // not handed out any more — a deadline abort must not degrade
         // into "finish everything first".
-        let queue = InProcessQueue::new();
+        let queue = Broker::new(LeaseTable::new());
         queue.submit(&tiny_job(0)).unwrap();
         queue.request_shutdown().unwrap();
         let stats = run_worker(&queue, "w", Duration::from_millis(1)).unwrap();

@@ -2,27 +2,28 @@
 //!
 //! The invariant under test: `profile_dirs_distributed` renders a profile
 //! **byte-identical** to the single-process `profile_dirs` at every worker
-//! count (in-process threads and real `affidavit-worker` child
-//! processes), for both paper configurations, with redundancy-induced
-//! duplicates and straggler requeues degrading to wasted work only. Wall
-//! time (`millis`) is the one legitimately nondeterministic field and is
-//! stripped before comparison.
+//! count, for both paper configurations, and a job completed twice
+//! degrades to wasted work only. Wall time (`millis`) is the one
+//! legitimately nondeterministic field and is stripped before
+//! comparison. The same battery over real `affidavit-worker` processes
+//! lives in `properties_transport.rs`.
 //!
 //! Also here: wire-format stability — a round-trip fixed point and a
 //! golden-bytes fixture that fails loudly when the format changes without
 //! a version bump.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use affidavit_core::profiling::{profile_dirs, ProfileOptions, SnapshotProfile};
-use affidavit_core::{AffidavitConfig, ProblemInstance};
+use affidavit_core::report::render_report;
+use affidavit_core::{Affidavit, AffidavitConfig, ProblemInstance};
 use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datasets::synth::generate_rows;
+use affidavit_dist::job::process_job;
 use affidavit_dist::wire::WireConfig;
 use affidavit_dist::{
-    decode_job, encode_job, profile_dirs_distributed, DistBackend, DistOptions, Job, JobPayload,
-    WireInstance,
+    absorb_result, decode_job, encode_job, profile_dirs_distributed, Broker, DistBackend,
+    DistOptions, Job, JobPayload, JobQueue, LeaseTable, WireInstance,
 };
 use affidavit_table::{csv, Schema, Table, ValuePool};
 
@@ -72,10 +73,6 @@ fn canonical(mut profile: SnapshotProfile) -> String {
     format!("{}\n===\n{}", profile.render(), profile.to_json())
 }
 
-fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_affidavit-worker"))
-}
-
 fn battery(backend_for: impl Fn(usize) -> DistOptions, tag: &str) {
     let root = std::env::temp_dir().join(format!("affidavit-dist-battery-{tag}"));
     std::fs::remove_dir_all(&root).ok();
@@ -123,63 +120,62 @@ fn in_process_workers_are_byte_identical_to_local() {
 }
 
 #[test]
-fn child_process_workers_are_byte_identical_to_local() {
-    battery(
-        |workers| DistOptions {
-            workers,
-            backend: DistBackend::ChildProcesses {
-                broker_dir: None,
-                worker_bin: Some(worker_bin()),
-            },
-            ..DistOptions::default()
-        },
-        "procs",
+fn duplicate_completion_wastes_work_but_not_determinism() {
+    // One real search job, published twice (as a straggler requeue
+    // does) and completed by both claimants: the table keeps the first
+    // result, discards the matching duplicate, and the absorbed report
+    // is the local search's.
+    let mut pool = ValuePool::new();
+    let source = Table::from_rows(
+        Schema::new(["k", "v", "unit"]),
+        &mut pool,
+        (0..40).map(|i| vec![format!("k{i}"), format!("{}", (i + 1) * 1000), "USD".into()]),
     );
-}
-
-#[test]
-fn redundant_dispatch_wastes_work_but_not_determinism() {
-    let root = std::env::temp_dir().join("affidavit-dist-battery-redundant");
-    std::fs::remove_dir_all(&root).ok();
-    let (before, after) = make_snapshot_dirs(&root, 0xD15A);
-    let popts = ProfileOptions::default();
-    let local = canonical(profile_dirs(&before, &after, &popts).unwrap());
-    let dopts = DistOptions {
-        workers: 4,
-        redundancy: 2,
-        backend: DistBackend::InProcess,
-        ..DistOptions::default()
-    };
-    let (profile, stats) = profile_dirs_distributed(&before, &after, &popts, &dopts).unwrap();
-    assert_eq!(canonical(profile), local);
-    assert!(
-        stats.duplicates_discarded > 0,
-        "redundancy 2 with 4 workers must produce discarded duplicates: {stats:?}"
+    let target = Table::from_rows(
+        Schema::new(["k", "v", "unit"]),
+        &mut pool,
+        (0..40).map(|i| vec![format!("k{i}"), format!("{}", i + 1), "k $".into()]),
     );
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn child_processes_survive_straggler_requeue_pressure() {
-    // An aggressive steal timeout forces requeues of healthy in-flight
-    // claims; the duplicated completions must be discarded cleanly.
-    let root = std::env::temp_dir().join("affidavit-dist-battery-steal");
-    std::fs::remove_dir_all(&root).ok();
-    let (before, after) = make_snapshot_dirs(&root, 0xD15B);
-    let popts = ProfileOptions::default();
-    let local = canonical(profile_dirs(&before, &after, &popts).unwrap());
-    let dopts = DistOptions {
-        workers: 2,
-        steal_timeout: Duration::from_millis(1),
-        backend: DistBackend::ChildProcesses {
-            broker_dir: None,
-            worker_bin: Some(worker_bin()),
-        },
-        ..DistOptions::default()
+    let mut instance = ProblemInstance::new(source, target, pool).unwrap();
+    let local_report = {
+        let mut local = instance.clone();
+        let outcome = Affidavit::new(AffidavitConfig::paper_id()).explain(&mut local);
+        render_report(&outcome.explanation, &local)
     };
-    let (profile, _stats) = profile_dirs_distributed(&before, &after, &popts, &dopts).unwrap();
-    assert_eq!(canonical(profile), local);
-    std::fs::remove_dir_all(&root).ok();
+    let job = Job {
+        id: 0,
+        name: "duplicate".to_owned(),
+        payload: JobPayload::Explain {
+            instance: WireInstance::from_instance(&instance),
+            config: WireConfig(AffidavitConfig::paper_id()),
+        },
+    };
+
+    let queue = Broker::new(LeaseTable::new());
+    queue.submit(&job).unwrap();
+    queue.submit(&job).unwrap();
+    for worker in ["a", "b"] {
+        let claimed = queue
+            .steal(worker)
+            .unwrap()
+            .expect("one claim per publication");
+        queue
+            .complete(worker, &process_job(&claimed, worker))
+            .unwrap();
+    }
+    assert!(queue.steal("c").unwrap().is_none());
+
+    let stats = queue.stats().unwrap();
+    assert_eq!(stats.steals, 2, "{stats:?}");
+    assert_eq!(stats.duplicates_discarded, 1, "{stats:?}");
+    assert_eq!(stats.conflicts, 0, "{stats:?}");
+    queue.check_health().unwrap();
+    let stored = queue.fetch_result(0).unwrap().expect("one stored result");
+    assert_eq!(stored.worker, "a", "the first delivery wins");
+    assert!(queue.fetch_result(1).unwrap().is_none());
+    let base_len = instance.pool.len();
+    let remote = absorb_result(&mut instance, base_len, &stored, true).unwrap();
+    assert_eq!(render_report(&remote.explanation, &instance), local_report);
 }
 
 // ---- wire-format stability ----------------------------------------------

@@ -1,8 +1,8 @@
 //! Transport battery: TCP determinism + fault injection + worker
 //! lifecycle.
 //!
-//! The invariants under test, mirroring `properties_dist.rs` for the
-//! second transport:
+//! The invariants under test, mirroring `properties_dist.rs` for worker
+//! processes:
 //!
 //! * `profile_dirs_distributed` over the **TCP** backend (real
 //!   `affidavit-worker --connect` child processes) renders a profile
@@ -13,8 +13,9 @@
 //!   coordinator, the job is re-published, another worker completes it,
 //!   and the final report is byte-identical to the local search.
 //! * `affidavit-worker` exits with the distinct broker-lost code (3)
-//!   when its broker — spool directory or coordinator socket —
-//!   disappears for good, after a bounded reconnect.
+//!   when its coordinator disappears for good, after a bounded
+//!   reconnect, and with the usage code (1) when invoked with a flag it
+//!   does not know.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -27,7 +28,7 @@ use affidavit_datagen::blueprint::{Blueprint, GenConfig};
 use affidavit_datasets::synth::generate_rows;
 use affidavit_dist::{
     absorb_result, profile_dirs_distributed, spawn_workers, Broker, DistBackend, DistOptions, Job,
-    JobPayload, JobQueue, TcpBroker, TcpClient, Transport, WireInstance, WorkerEndpoint,
+    JobPayload, JobQueue, LeaseTable, TcpBroker, TcpClient, Transport, WireInstance,
     BROKER_LOST_EXIT_CODE,
 };
 use affidavit_table::{csv, Schema, Table, ValuePool};
@@ -187,14 +188,16 @@ fn killed_tcp_worker_lease_expires_and_the_job_is_republished() {
         render_report(&outcome.explanation, &local)
     };
 
-    let coordinator = Broker::new(TcpBroker::bind("127.0.0.1:0").unwrap());
-    let addr = coordinator.transport().local_addr().to_string();
+    let table = LeaseTable::new();
+    let listener = TcpBroker::bind("127.0.0.1:0", table.clone()).unwrap();
+    let coordinator = Broker::new(table);
+    let addr = listener.local_addr().to_string();
     coordinator.submit(&job).unwrap();
 
     // A worker claims the job and dies mid-job. The doomed worker is a
     // bare TcpClient that simply never delivers — from the coordinator's
-    // perspective indistinguishable from a killed process, since each
-    // steal is its own connection.
+    // perspective indistinguishable from a killed process, since the
+    // table tracks the lease, not the connection.
     let ghost = Broker::new(TcpClient::new(addr.clone()));
     assert_eq!(ghost.steal("ghost").unwrap().unwrap().id, 0);
     assert_eq!(coordinator.transport().active_leases(), 1);
@@ -220,13 +223,7 @@ fn killed_tcp_worker_lease_expires_and_the_job_is_republished() {
     // Escalate to a real process kill: a child claims the re-published
     // copy and is SIGKILLed. Whether the kill lands before or after its
     // delivery, the protocol must converge on the same bytes.
-    let mut doomed = spawn_workers(
-        &worker_bin(),
-        &WorkerEndpoint::Tcp(addr.clone()),
-        1,
-        Duration::from_millis(1),
-    )
-    .unwrap();
+    let mut doomed = spawn_workers(&worker_bin(), &addr, 1, Duration::from_millis(1)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     while coordinator.stats().unwrap().steals < 2 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_micros(200));
@@ -250,13 +247,7 @@ fn killed_tcp_worker_lease_expires_and_the_job_is_republished() {
             1,
             "the killed child's lease must expire"
         );
-        let healthy = spawn_workers(
-            &worker_bin(),
-            &WorkerEndpoint::Tcp(addr),
-            1,
-            Duration::from_millis(1),
-        )
-        .unwrap();
+        let healthy = spawn_workers(&worker_bin(), &addr, 1, Duration::from_millis(1)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(120);
         while coordinator.fetch_result(0).unwrap().is_none() {
             assert!(Instant::now() < deadline, "healthy worker never delivered");
@@ -294,38 +285,26 @@ fn wait_code(child: &mut std::process::Child, budget: Duration) -> i32 {
 }
 
 #[test]
-fn fs_worker_exits_broker_lost_when_the_spool_disappears() {
-    let spool = std::env::temp_dir().join("affidavit-transport-lost-spool");
-    std::fs::remove_dir_all(&spool).ok();
-    std::fs::create_dir_all(&spool).unwrap();
-    let mut child = Command::new(worker_bin())
+fn worker_rejects_the_retired_broker_flag_with_its_usage() {
+    let dir = std::env::temp_dir().join("affidavit-transport-retired-broker");
+    let output = Command::new(worker_bin())
         .arg("--broker")
-        .arg(&spool)
-        .args([
-            "--poll-ms",
-            "2",
-            "--reconnect-attempts",
-            "3",
-            "--worker-id",
-            "w",
-        ])
+        .arg(&dir)
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
+        .output()
         .unwrap();
-    // Let the worker enter its steal loop, then pull the spool out from
-    // under it.
-    std::thread::sleep(Duration::from_millis(300));
-    std::fs::remove_dir_all(&spool).unwrap();
-    assert_eq!(
-        wait_code(&mut child, Duration::from_secs(30)),
-        i32::from(BROKER_LOST_EXIT_CODE)
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("\"--broker\""), "{stderr}");
+    assert!(
+        stderr.contains("usage: affidavit-worker --connect HOST:PORT"),
+        "{stderr}"
     );
 }
 
 #[test]
 fn tcp_worker_exits_broker_lost_when_the_coordinator_dies() {
-    let coordinator = TcpBroker::bind("127.0.0.1:0").unwrap();
+    let coordinator = TcpBroker::bind("127.0.0.1:0", LeaseTable::new()).unwrap();
     let addr = coordinator.local_addr().to_string();
     let mut child = Command::new(worker_bin())
         .args(["--connect", &addr])

@@ -18,8 +18,8 @@ use affidavit::core::profiling::{profile_dirs, ProfileOptions, SnapshotProfile};
 use affidavit::core::report::render_report;
 use affidavit::core::{Affidavit, AffidavitConfig, ProblemInstance};
 use affidavit::dist::{
-    explain_via, profile_dirs_distributed, run_worker, DistBackend, DistOptions, InProcessQueue,
-    JobQueue,
+    explain_via, profile_dirs_distributed, run_worker, Broker, DistBackend, DistOptions, JobQueue,
+    LeaseTable,
 };
 use affidavit::table::{Schema, Table, ValuePool};
 
@@ -112,7 +112,7 @@ fn remote_explanation_renders_byte_identically() {
     let outcome = Affidavit::new(cfg.clone()).explain(&mut local);
     let local_report = render_report(&outcome.explanation, &local);
 
-    let queue = InProcessQueue::new();
+    let queue = Broker::new(LeaseTable::new());
     let mut remote_instance = build();
     let remote = std::thread::scope(|scope| {
         scope.spawn(|| run_worker(&queue, "w0", Duration::from_millis(1)));
