@@ -163,32 +163,22 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // Ingestion-throughput benchmark: one large synthetic table written as
-    // CSV, read back through (a) the serial in-memory parser, (b) the
-    // streaming chunked reader at 1 and N threads, and (c) the streaming
-    // reader into a disk-spilled SegmentPool. All four produce
+    // Ingestion-throughput benchmark: adult at its full Table 2 size
+    // written as CSV, read back through (a) `csv::read_str` on the
+    // pre-loaded string, (b) streaming `ingest::read_path`, and (c) the
+    // same into a disk-spilled SegmentPool. All three produce
     // byte-identical `(Table, ValuePool)` pairs (asserted).
-    let ingest_rows = args.get_or("ingest-rows", 20_000usize);
+    let ingest_rows = args.get_or("ingest-rows", 0usize);
     let ingest_runs = args.get_or("ingest-runs", 3usize);
-    let ingest_chunk_rows = args.get_or("ingest-chunk-rows", 4096usize);
-    let ingest = bench_ingest(
-        ingest_rows,
-        seed,
-        ingest_runs,
-        bench_threads,
-        ingest_chunk_rows,
-    );
+    let ingest = bench_ingest(ingest_rows, seed, ingest_runs);
     println!(
-        "\ningestion ({} rows, {:.1} MiB, {} runs): read_str {:.3}s | stream@1 {:.3}s | stream@{} {:.3}s ({:.2}x, {:.0} MB/s) | disk backend {:.3}s ({} B spilled) | deterministic = {}",
+        "\ningestion ({} rows, {:.1} MB, {} runs): read_str {:.3}s | stream {:.3}s ({:.1} MB/s) | disk backend {:.3}s ({} B spilled) | deterministic = {}",
         ingest.rows,
-        ingest.bytes as f64 / (1024.0 * 1024.0),
+        ingest.bytes as f64 / 1e6,
         ingest.runs,
-        ingest.serial_read_str_secs,
-        ingest.stream_secs_serial,
-        ingest.threads,
-        ingest.stream_secs_parallel,
-        ingest.stream_speedup,
-        ingest.mb_per_s_stream_parallel,
+        ingest.read_str_secs,
+        ingest.stream_secs,
+        ingest.mb_per_s_stream,
         ingest.disk_backend_secs,
         ingest.disk_spilled_bytes,
         ingest.deterministic,
@@ -375,10 +365,10 @@ fn bench_dist(
     }
 }
 
-/// Ingestion-throughput measurement, serialized into `BENCH_ingest.json`
-/// at the repo root. Four readers over the same CSV bytes — serial
-/// in-memory, streaming at 1 and N threads, streaming into a disk-spilled
-/// `SegmentPool` — must produce byte-identical `(Table, ValuePool)` pairs.
+/// One ingestion-throughput measurement, serialized into
+/// `BENCH_ingest.json` at the repo root. All three readers — in-memory,
+/// streaming, streaming into a disk-spilled `SegmentPool` — must produce
+/// byte-identical `(Table, ValuePool)` pairs.
 #[derive(serde::Serialize)]
 struct IngestBench {
     /// Records in the benchmark table.
@@ -389,47 +379,32 @@ struct IngestBench {
     bytes: usize,
     /// Runs averaged per configuration.
     runs: usize,
-    /// Worker count of the parallel configuration.
-    threads: usize,
-    /// Records per chunk for the streaming readers.
-    chunk_rows: usize,
     /// Hardware threads available on the measuring machine.
     hardware_threads: usize,
     /// Mean seconds for `csv::read_str` on the pre-loaded string.
-    serial_read_str_secs: f64,
-    /// Mean seconds for streaming ingestion at 1 thread.
-    stream_secs_serial: f64,
-    /// Mean seconds for streaming ingestion at `threads` threads.
-    stream_secs_parallel: f64,
-    /// `stream_secs_serial / stream_secs_parallel`; only meaningful when
-    /// `speedup_valid`.
-    stream_speedup: f64,
-    /// Throughput of the parallel streaming configuration.
-    mb_per_s_stream_parallel: f64,
+    read_str_secs: f64,
+    /// Mean seconds for streaming ingestion from the file.
+    stream_secs: f64,
+    /// Throughput of streaming ingestion, in 10^6 bytes per second.
+    mb_per_s_stream: f64,
     /// Mean seconds for streaming ingestion into the disk backend.
     disk_backend_secs: f64,
     /// RAM budget of the disk-backend run.
     disk_budget_bytes: usize,
     /// Bytes spilled by the disk-backend run (must be > 0).
     disk_spilled_bytes: u64,
-    /// False when the machine cannot physically exhibit parallel speedup
-    /// (one hardware thread) — treat `stream_speedup` as noise.
-    speedup_valid: bool,
     /// Every reader produced a byte-identical `(Table, ValuePool)`.
     deterministic: bool,
 }
 
-fn bench_ingest(
-    rows: usize,
-    seed: u64,
-    runs: usize,
-    threads: usize,
-    chunk_rows: usize,
-) -> IngestBench {
+/// Time the three readers over `rows` rows of adult (0 = its full
+/// Table 2 size).
+fn bench_ingest(rows: usize, seed: u64, runs: usize) -> IngestBench {
     use affidavit_store::{ingest, IngestOptions, PoolBackend, PoolConfig};
     use affidavit_table::{Table, ValuePool};
 
     let spec = affidavit_datasets::specs::by_name("adult").expect("dataset exists");
+    let rows = if rows == 0 { spec.rows } else { rows };
     let (table, pool) = generate_rows(&spec, rows, seed);
     let path = std::env::temp_dir().join(format!("affidavit-bench-ingest-{seed}.csv"));
     csv::write_path(&path, &table, &pool, csv::CsvOptions::default()).expect("write bench CSV");
@@ -451,7 +426,7 @@ fn bench_ingest(
         out
     };
 
-    let mut timings = [0.0f64; 4];
+    let mut timings = [0.0f64; 3];
     let mut fingerprints: Vec<String> = Vec::new();
     let mut spilled = 0u64;
     // Registry regression gate: `ingest_rows_total` accumulates across
@@ -462,10 +437,10 @@ fn bench_ingest(
     // Small enough that the distinct-value corpus of the benchmark table
     // cannot fit: the disk run must exercise spill + fault-back paths.
     let disk_budget_bytes = 64 * 1024;
+    let opts = IngestOptions::default();
     for _ in 0..runs {
         let mut prints = Vec::new();
-        // (a) serial in-memory parse (I/O excluded: the historical path
-        // slurped first, so this isolates parse+intern cost).
+        // (a) in-memory parse (file I/O excluded).
         let text = std::fs::read_to_string(&path).expect("read bench CSV");
         let started = Instant::now();
         let mut p = ValuePool::new();
@@ -473,26 +448,14 @@ fn bench_ingest(
         timings[0] += started.elapsed().as_secs_f64();
         prints.push(fingerprint(&t, &p));
         drop(text);
-        // (b, c) streaming at 1 and N threads.
-        for (slot, n) in [(1usize, 1usize), (2, threads)] {
-            let opts = IngestOptions {
-                chunk_rows,
-                threads: n,
-                ..IngestOptions::default()
-            };
-            let started = Instant::now();
-            let mut p = ValuePool::new();
-            let t = ingest::read_path(&path, &mut p, &opts).expect("stream");
-            timings[slot] += started.elapsed().as_secs_f64();
-            rows_expected += t.len() as u64;
-            prints.push(fingerprint(&t, &p));
-        }
-        // (d) streaming into a disk-spilled SegmentPool.
-        let opts = IngestOptions {
-            chunk_rows,
-            threads,
-            ..IngestOptions::default()
-        };
+        // (b) streaming from the file.
+        let started = Instant::now();
+        let mut p = ValuePool::new();
+        let t = ingest::read_path(&path, &mut p, &opts).expect("stream");
+        timings[1] += started.elapsed().as_secs_f64();
+        rows_expected += t.len() as u64;
+        prints.push(fingerprint(&t, &p));
+        // (c) streaming into a disk-spilled SegmentPool.
         let started = Instant::now();
         let mut p = PoolConfig {
             backend: PoolBackend::Disk,
@@ -501,7 +464,7 @@ fn bench_ingest(
         .build()
         .expect("disk pool");
         let t = ingest::read_path(&path, &mut p, &opts).expect("disk stream");
-        timings[3] += started.elapsed().as_secs_f64();
+        timings[2] += started.elapsed().as_secs_f64();
         spilled = p.store_stats().expect("disk backend").spilled_bytes;
         rows_expected += t.len() as u64;
         prints.push(fingerprint(&t, &p));
@@ -524,24 +487,19 @@ fn bench_ingest(
         "all ingestion paths must produce byte-identical pools and tables"
     );
     assert!(spilled > 0, "the disk-backend run must spill");
-    let [serial, stream1, stream_n, disk] = timings.map(|t| t / runs as f64);
+    let [read_str, stream, disk] = timings.map(|t| t / runs as f64);
     IngestBench {
         rows,
         attrs: spec.attrs,
         bytes,
         runs,
-        threads,
-        chunk_rows,
         hardware_threads: speedup::hardware_threads(),
-        serial_read_str_secs: serial,
-        stream_secs_serial: stream1,
-        stream_secs_parallel: stream_n,
-        stream_speedup: stream1 / stream_n.max(1e-12),
-        mb_per_s_stream_parallel: bytes as f64 / (1024.0 * 1024.0) / stream_n.max(1e-12),
+        read_str_secs: read_str,
+        stream_secs: stream,
+        mb_per_s_stream: bytes as f64 / 1e6 / stream.max(1e-12),
         disk_backend_secs: disk,
         disk_budget_bytes,
         disk_spilled_bytes: spilled,
-        speedup_valid: speedup::warn_if_invalid(),
         deterministic,
     }
 }

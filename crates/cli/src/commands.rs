@@ -44,6 +44,7 @@ SEARCH FLAGS (explain, apply, profile):
   --threads N              Worker threads for the candidate-generation phase;
                            0 = one per hardware thread (default: 1). Results
                            are byte-identical at every thread count.
+                           Ingestion reads serially at every count.
   --trace                  Record and print the search tree (default: off).
   --corpus                 Also draw candidates from the built-in function
                            corpus (default: off; induction only).
@@ -52,10 +53,6 @@ SEARCH FLAGS (explain, apply, profile):
                            (default: off; the paper's Table 1 catalogue).
 
 INGESTION FLAGS (explain, profile):
-  --ingest-chunk-rows N    Records per streaming-ingestion chunk (default:
-                           4096 rows). Smaller chunks bound memory tighter
-                           and parallelize finer; the parsed table is
-                           identical either way.
   --pool-backend ram|disk  Value-pool string storage (default: ram). disk
                            spills interned strings to segment files under the
                            budget below.
@@ -163,7 +160,7 @@ const OBS_FLAGS: &[&str] = &["obs-out", "obs-summary"];
 /// The SEARCH flags of USAGE.
 const SEARCH_FLAGS: &[&str] = &["config", "seed", "threads", "trace", "corpus", "extended"];
 /// The INGESTION flags of USAGE.
-const INGESTION_FLAGS: &[&str] = &["ingest-chunk-rows", "pool-backend", "pool-budget-bytes"];
+const INGESTION_FLAGS: &[&str] = &["pool-backend", "pool-budget-bytes"];
 /// The INCREMENTAL flags of USAGE.
 const INCREMENTAL_FLAGS: &[&str] = &["delta", "delta-state"];
 /// The DISTRIBUTED flags of USAGE.
@@ -268,18 +265,8 @@ fn read_csv_streaming(
     ingest::read_path(path, pool, opts).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Ingestion and pool-backend flags shared by `explain` and `profile`.
-/// Ingestion workers follow `--threads` (the search's worker count).
-fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<(IngestOptions, PoolConfig), String> {
-    let mut ingest_opts = IngestOptions {
-        threads,
-        ..IngestOptions::default()
-    };
-    if let Some(v) = p.flag_value("ingest-chunk-rows") {
-        ingest_opts.chunk_rows = v
-            .parse()
-            .map_err(|_| format!("bad --ingest-chunk-rows {v:?} (records per chunk)"))?;
-    }
+/// Pool-backend flags shared by `explain`, `profile` and `client`.
+fn build_pool(p: &Parsed<'_>) -> Result<PoolConfig, String> {
     let mut pool_cfg = PoolConfig::default();
     if let Some(v) = p.flag_value("pool-backend") {
         pool_cfg.backend = v.parse()?;
@@ -289,7 +276,7 @@ fn build_ingest(p: &Parsed<'_>, threads: usize) -> Result<(IngestOptions, PoolCo
             .parse()
             .map_err(|_| format!("bad --pool-budget-bytes {v:?} (RAM budget for string bytes)"))?;
     }
-    Ok((ingest_opts, pool_cfg))
+    Ok(pool_cfg)
 }
 
 fn build_config(p: &Parsed<'_>) -> Result<AffidavitConfig, String> {
@@ -334,7 +321,8 @@ pub fn explain(args: &[String]) -> Result<(), String> {
         return Err(format!("explain needs two CSV paths\n{USAGE}"));
     };
     let cfg = build_config(&p)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads)?;
+    let pool_cfg = build_pool(&p)?;
+    let ingest_opts = IngestOptions::default();
     if p.has("delta-state") && !p.has("delta") {
         return Err("--delta-state requires --delta".to_owned());
     }
@@ -485,12 +473,11 @@ pub fn profile(args: &[String]) -> Result<(), String> {
         return Err(format!("profile needs two directories\n{USAGE}"));
     };
     let config = build_config(&p)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, config.threads)?;
     let opts = affidavit_core::profiling::ProfileOptions {
         config,
         align: p.has("align"),
-        ingest: ingest_opts,
-        pool: pool_cfg,
+        ingest: IngestOptions::default(),
+        pool: build_pool(&p)?,
     };
     let workers: usize = match p.flag_value("workers") {
         Some(v) => v
@@ -756,8 +743,8 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
             }
         };
         let cfg = build_config(&p).map_err(plain)?;
-        let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads).map_err(plain)?;
-        let spec = build_spec(src, tgt, cfg, &p, &ingest_opts, &pool_cfg);
+        let pool_cfg = build_pool(&p).map_err(plain)?;
+        let spec = build_spec(src, tgt, cfg, &p, &pool_cfg);
         let warm = remote.pin(&spec).map_err(fail)?;
         diag(
             "session",
@@ -792,8 +779,8 @@ pub fn client(args: &[String]) -> Result<(), crate::Failure> {
         )));
     };
     let cfg = build_config(&p).map_err(plain)?;
-    let (ingest_opts, pool_cfg) = build_ingest(&p, cfg.threads).map_err(plain)?;
-    let spec = build_spec(src, tgt, cfg, &p, &ingest_opts, &pool_cfg);
+    let pool_cfg = build_pool(&p).map_err(plain)?;
+    let spec = build_spec(src, tgt, cfg, &p, &pool_cfg);
     let reply = remote.explain(&spec).map_err(fail)?;
     diag(
         "session",
@@ -831,7 +818,6 @@ fn build_spec(
     tgt: &str,
     cfg: AffidavitConfig,
     p: &Parsed<'_>,
-    ingest_opts: &IngestOptions,
     pool_cfg: &PoolConfig,
 ) -> affidavit_serve::ExplainSpec {
     affidavit_serve::ExplainSpec {
@@ -839,7 +825,6 @@ fn build_spec(
         target: tgt.to_owned(),
         config: cfg,
         align: p.has("align"),
-        ingest_chunk_rows: ingest_opts.chunk_rows,
         pool_backend: match pool_cfg.backend {
             PoolBackend::Ram => "ram".to_owned(),
             PoolBackend::Disk => "disk".to_owned(),
@@ -1130,6 +1115,7 @@ mod tests {
             ("--speculative-width", "4"),
             ("--steal", "expansions"),
             ("--thraeds", "4"),
+            ("--ingest-chunk-rows", "16"),
         ] {
             let err = explain(&argv(&["a.csv", "b.csv", flag, value])).unwrap_err();
             assert!(err.contains(flag), "{err}");
@@ -1152,23 +1138,13 @@ mod tests {
     }
 
     #[test]
-    fn build_ingest_flags() {
-        let args = argv(&[
-            "--ingest-chunk-rows",
-            "128",
-            "--pool-backend",
-            "disk",
-            "--pool-budget-bytes",
-            "4096",
-        ]);
-        let p = split(&args);
-        let (ingest_opts, pool_cfg) = build_ingest(&p, 3).unwrap();
-        assert_eq!(ingest_opts.chunk_rows, 128);
-        assert_eq!(ingest_opts.threads, 3);
+    fn build_pool_flags() {
+        let args = argv(&["--pool-backend", "disk", "--pool-budget-bytes", "4096"]);
+        let pool_cfg = build_pool(&split(&args)).unwrap();
         assert_eq!(pool_cfg.backend, PoolBackend::Disk);
         assert_eq!(pool_cfg.budget_bytes, 4096);
-        assert!(build_ingest(&split(&argv(&["--pool-backend", "mmap"])), 1).is_err());
-        assert!(build_ingest(&split(&argv(&["--ingest-chunk-rows", "many"])), 1).is_err());
+        assert!(build_pool(&split(&argv(&["--pool-backend", "mmap"]))).is_err());
+        assert!(build_pool(&split(&argv(&["--pool-budget-bytes", "many"]))).is_err());
     }
 
     #[test]
@@ -1192,8 +1168,6 @@ mod tests {
             "disk",
             "--pool-budget-bytes",
             "256",
-            "--ingest-chunk-rows",
-            "8",
         ]))
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1283,7 +1257,6 @@ mod tests {
             "--config",
             "--seed",
             "--threads",
-            "--ingest-chunk-rows",
             "--pool-backend",
             "--pool-budget-bytes",
             "--delta",

@@ -23,20 +23,15 @@ pub(crate) fn finalize(ctx: &mut Ctx<'_>, state: &SearchState) -> SearchState {
     loop {
         // Next open attribute, most determined first under the *current*
         // blocking.
-        let open: Vec<usize> = current
-            .assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_open())
-            .map(|(i, _)| i)
-            .collect();
-        if open.is_empty() {
-            return current;
-        }
-        let attr = open
-            .iter()
-            .copied()
-            .min_by_key(|&a| {
+        let attr = {
+            let _span = affidavit_obs::span("finalize.order");
+            let open = current
+                .assignments
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| a.is_open())
+                .map(|(i, _)| i);
+            open.min_by_key(|&a| {
                 (
                     current
                         .blocking
@@ -44,20 +39,30 @@ pub(crate) fn finalize(ctx: &mut Ctx<'_>, state: &SearchState) -> SearchState {
                     a,
                 )
             })
-            .expect("open is non-empty");
-        let alignment = sample_random_alignment(&current.blocking, &mut ctx.rng);
-        let map = greedy_map_from_alignment(
-            &alignment,
-            AttrId(attr as u32),
-            &ctx.instance.source,
-            &ctx.instance.target,
-        );
+        };
+        let Some(attr) = attr else {
+            return current;
+        };
+        let alignment = {
+            let _span = affidavit_obs::span("finalize.alignment");
+            sample_random_alignment(&current.blocking, &mut ctx.rng)
+        };
+        let map = {
+            let _span = affidavit_obs::span("finalize.greedy_map");
+            greedy_map_from_alignment(
+                &alignment,
+                AttrId(attr as u32),
+                &ctx.instance.source,
+                &ctx.instance.target,
+            )
+        };
         // An empty greedy map is the identity; keep explanations clean.
         let func = if map.is_empty() {
             AttrFunction::Identity
         } else {
             AttrFunction::Map(map)
         };
+        let _span = affidavit_obs::span("finalize.refine");
         current = make_child(ctx, &current, attr, func);
     }
 }

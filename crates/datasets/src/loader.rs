@@ -36,8 +36,7 @@ pub fn load_or_generate(
 }
 
 /// [`load_or_generate`] with explicit ingestion and pool-backend options
-/// (the CLI's `--ingest-chunk-rows` / `--pool-backend` /
-/// `--pool-budget-bytes`).
+/// (the CLI's `--pool-backend` / `--pool-budget-bytes`).
 pub fn load_or_generate_with(
     spec: &DatasetSpec,
     data_dir: impl AsRef<Path>,
@@ -113,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn loads_through_parallel_ingestion_and_disk_backend() {
+    fn loads_through_streaming_ingestion_and_disk_backend() {
         let dir = std::env::temp_dir().join("affidavit-loader-backend-test");
         std::fs::create_dir_all(&dir).unwrap();
         let mut text = String::from("a,b\n");
@@ -122,11 +121,7 @@ mod tests {
         }
         std::fs::write(dir.join("iris.csv"), &text).unwrap();
         let spec = by_name("iris").unwrap();
-        let ingest_opts = IngestOptions {
-            chunk_rows: 16,
-            threads: 2,
-            ..IngestOptions::default()
-        };
+        let ingest_opts = IngestOptions::default();
         let pool_cfg = PoolConfig {
             backend: PoolBackend::Disk,
             budget_bytes: 512,

@@ -27,9 +27,6 @@ pub struct ExplainSpec {
     /// Repair schema drift (renamed/reordered/merged/split columns)
     /// before the search.
     pub align: bool,
-    /// Records per streaming-ingestion chunk (ingestion is byte-identical
-    /// at every chunking, so this is not part of the session key).
-    pub ingest_chunk_rows: usize,
     /// Pool backend: `"ram"` or `"disk"`.
     pub pool_backend: String,
     /// RAM budget for the disk backend's resident string bytes.
@@ -53,7 +50,6 @@ impl ExplainSpec {
             target: target.into(),
             config: AffidavitConfig::paper_id(),
             align: false,
-            ingest_chunk_rows: affidavit_store::IngestOptions::default().chunk_rows,
             pool_backend: "ram".to_owned(),
             pool_budget_bytes: pool.budget_bytes,
             delta: false,

@@ -460,15 +460,10 @@ fn profile_options(spec: &ExplainSpec) -> Result<ProfileOptions, String> {
         backend,
         budget_bytes: spec.pool_budget_bytes,
     };
-    let ingest_opts = IngestOptions {
-        chunk_rows: spec.ingest_chunk_rows,
-        threads: spec.config.threads,
-        ..IngestOptions::default()
-    };
     Ok(ProfileOptions {
         config: spec.config.clone(),
         align: spec.align,
-        ingest: ingest_opts,
+        ingest: IngestOptions::default(),
         pool: pool_cfg,
     })
 }

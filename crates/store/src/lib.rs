@@ -3,17 +3,12 @@
 //! The search engine (`affidavit-core`) operates on `(Table, ValuePool)`
 //! pairs; this crate is how those pairs come to exist at scale:
 //!
-//! * [`ingest`] — chunked streaming CSV ingestion. A
-//!   [`RowChunker`](affidavit_table::csv::RowChunker) splits the byte
-//!   stream into chunks of complete records in bounded memory; chunks fan
-//!   out over worker threads, each interning into a private
-//!   [`ScratchPool`](affidavit_table::ScratchPool) overlay; the driver
-//!   merges worker results in chunk order via
-//!   [`ValuePool::absorb`](affidavit_table::ValuePool::absorb). Because
-//!   the merge order is fixed, the resulting `(Table, ValuePool)` is
-//!   **byte-identical** to a serial
-//!   [`csv::read_str`](affidavit_table::csv::read_str) at every thread
-//!   count and chunk size.
+//! * [`ingest`] — streaming CSV ingestion. The table crate's byte
+//!   scanner ([`csv::read`](affidavit_table::csv::read)) reads the file
+//!   through a fixed window in bounded memory and interns each field
+//!   straight from it, so the resulting `(Table, ValuePool)` is
+//!   **byte-identical** to
+//!   [`csv::read_str`](affidavit_table::csv::read_str) on the same bytes.
 //! * [`segment`] — the [`SegmentPool`] disk-backed
 //!   interner: string bytes live in append-only segments spilled to files
 //!   under a RAM budget, behind the same
@@ -36,16 +31,15 @@
 //! use affidavit_table::ValuePool;
 //!
 //! let csv = "k,v\r\n1,\"a,b\"\r\n2,plain\r\n";
-//! let opts = IngestOptions { chunk_rows: 1, threads: 2, ..IngestOptions::default() };
 //! let mut pool = ValuePool::new();
-//! let table = ingest::read_stream(csv.as_bytes(), &mut pool, &opts).unwrap();
+//! let table = ingest::read_stream(csv.as_bytes(), &mut pool, &IngestOptions::default()).unwrap();
 //! assert_eq!(table.len(), 2);
-//! // Chunked parallel ingestion is byte-identical to the serial parser.
-//! let mut serial = ValuePool::new();
+//! // Streaming ingestion is byte-identical to the in-memory reader.
+//! let mut in_memory = ValuePool::new();
 //! let reference = affidavit_table::csv::read_str(
-//!     csv, &mut serial, affidavit_table::csv::CsvOptions::default()).unwrap();
+//!     csv, &mut in_memory, affidavit_table::csv::CsvOptions::default()).unwrap();
 //! assert_eq!(table, reference);
-//! assert_eq!(pool.len(), serial.len());
+//! assert_eq!(pool.len(), in_memory.len());
 //! ```
 
 #![warn(missing_docs)]

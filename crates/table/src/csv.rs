@@ -4,19 +4,21 @@
 //! and newlines inside quotes, `\r\n` and `\n` line endings, a UTF-8 BOM,
 //! and a configurable separator. The first row is the header (schema).
 //!
-//! Two reading disciplines share one grammar:
+//! Every reading entry point ([`read_str`], [`read`], [`read_path`]) runs
+//! one byte scanner. It reads through a fixed window of
+//! `WINDOW_BYTES` bytes, carrying a partial record across refills; the
+//! window grows only for a record longer than itself, so memory is
+//! bounded by the longest record, not by the stream. Fields are borrowed
+//! straight from the window and interned from the slice. A field is
+//! copied into a reused owned buffer only when its text is not one run of
+//! input bytes: a quoted field containing `""`, a bare `\r` outside
+//! quotes (the grammar drops it), or text after a closing quote.
 //!
-//! * [`read_str`] parses an in-memory string in one pass.
-//! * [`read`] / [`read_path`] stream from any reader through a
-//!   [`RowChunker`], which splits the byte stream into chunks of *complete
-//!   records* (quote- and CRLF-aware, so a chunk boundary can never fall
-//!   inside a quoted field) and parses chunk by chunk in bounded memory.
-//!   The `affidavit-store` crate fans the same chunks out over worker
-//!   threads for parallel interning.
-//!
-//! Both paths produce byte-identical `(Table, ValuePool)` results.
+//! Errors surface in stream order with whole-stream positions: a record's
+//! invalid UTF-8 before its arity, every complete record before an
+//! unterminated quote at the end.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::error::TableError;
@@ -27,7 +29,8 @@ use crate::value::{Sym, ValuePool};
 /// CSV parsing options.
 #[derive(Debug, Clone, Copy)]
 pub struct CsvOptions {
-    /// Field separator (default `,`).
+    /// Field separator (default `,`); an ASCII byte other than `"`, `\r`
+    /// and `\n`.
     pub separator: u8,
 }
 
@@ -37,501 +40,427 @@ impl Default for CsvOptions {
     }
 }
 
-/// Records per chunk used by the serial streaming reader ([`read`]).
-pub const DEFAULT_CHUNK_ROWS: usize = 4096;
+/// Bytes the scanner's window holds before a longer record grows it.
+const WINDOW_BYTES: usize = 64 * 1024;
 
-/// A parsed CSV record together with the physical line it starts on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsvRow {
-    /// 1-based physical line of the record's first byte (embedded newlines
-    /// in earlier quoted fields are counted).
-    pub line: usize,
-    /// The record's fields.
-    pub fields: Vec<String>,
+/// Where a completed field's text lives: window bytes, or the owned
+/// buffer for a field that had to be reassembled. Both are index ranges.
+#[derive(Debug, Clone, Copy)]
+enum Span {
+    Window(usize, usize),
+    Owned(usize, usize),
 }
 
-/// Parse raw CSV text into rows of fields.
-pub fn parse_rows(input: &str, opts: CsvOptions) -> Result<Vec<Vec<String>>, TableError> {
-    Ok(parse_rows_at(input, opts, 1)?
-        .into_iter()
-        .map(|r| r.fields)
-        .collect())
+/// The content runs of the field being scanned. A field is one run of
+/// window bytes unless `""`, a bare `\r` or text after a closing quote
+/// splits it; only then are its runs copied into the owned buffer.
+#[derive(Default)]
+struct FieldRuns {
+    /// Start of the run being scanned.
+    open: Option<usize>,
+    /// The field's first closed run while it is the only one.
+    first: Option<(usize, usize)>,
+    /// Where the field starts in the owned buffer once it has two runs.
+    owned_from: Option<usize>,
 }
 
-/// Parse raw CSV text into rows with line positions, treating the input's
-/// first byte as sitting on (1-based) `first_line`. Chunked readers pass
-/// the chunk's absolute starting line so errors and [`CsvRow::line`] carry
-/// whole-stream positions.
-pub fn parse_rows_at(
-    input: &str,
-    opts: CsvOptions,
-    first_line: usize,
-) -> Result<Vec<CsvRow>, TableError> {
-    let (rows, trailing) = parse_rows_trailing(input, opts, first_line);
-    match trailing {
-        Some(err) => Err(err),
-        None => Ok(rows),
+impl FieldRuns {
+    #[inline]
+    fn start(&mut self, i: usize) {
+        if self.open.is_none() {
+            self.open = Some(i);
+        }
+    }
+
+    /// The grammar's "field is empty": no content byte yet. A quote opens
+    /// a quoted section only then.
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.open.is_none() && self.first.is_none() && self.owned_from.is_none()
+    }
+
+    #[inline]
+    fn close(&mut self, i: usize, window: &[u8], owned: &mut Vec<u8>) {
+        let Some(a) = self.open.take() else { return };
+        match (self.first, self.owned_from) {
+            (_, Some(_)) => owned.extend_from_slice(&window[a..i]),
+            (Some((fa, fb)), None) => {
+                self.owned_from = Some(owned.len());
+                owned.extend_from_slice(&window[fa..fb]);
+                owned.extend_from_slice(&window[a..i]);
+            }
+            (None, None) => self.first = Some((a, i)),
+        }
+    }
+
+    #[inline]
+    fn finish(&mut self, i: usize, window: &[u8], owned: &mut Vec<u8>) -> Span {
+        self.close(i, window, owned);
+        let span = match (self.first, self.owned_from) {
+            (_, Some(from)) => Span::Owned(from, owned.len()),
+            (Some((a, b)), None) => Span::Window(a, b),
+            (None, None) => Span::Window(i, i),
+        };
+        *self = FieldRuns::default();
+        span
     }
 }
 
-/// Core parser: complete rows plus an optional *trailing* error. An
-/// unterminated quote consumes the rest of the input, so every complete
-/// row precedes it in stream order; returning the rows alongside the
-/// error lets readers validate them first and report whichever error
-/// comes first in the stream — the discipline all reading paths share,
-/// so serial and chunked reads fail identically at any chunk size.
-fn parse_rows_trailing(
-    input: &str,
-    opts: CsvOptions,
-    first_line: usize,
-) -> (Vec<CsvRow>, Option<TableError>) {
-    let bytes = input.as_bytes();
-    let mut rows: Vec<CsvRow> = Vec::new();
-    let mut fields: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut i = 0usize;
-    let mut line = first_line;
-    let mut col = 1usize;
-    let mut in_quotes = false;
-    let mut quote_line = first_line;
-    let mut quote_col = 1usize;
-    let mut row_started = false;
-    let mut row_line = first_line;
+/// One pass of the scanner over the window's unread bytes.
+enum Scan {
+    /// A record's bytes end at `end`, past its newline if it has one;
+    /// `line` is the line after it and `row_line` the line its first byte
+    /// sits on.
+    Record {
+        end: usize,
+        line: usize,
+        row_line: usize,
+    },
+    /// The window ends inside a record: refill and scan it again.
+    Incomplete,
+    /// End of stream with no record left (at most blank lines).
+    Exhausted,
+    /// End of stream inside a quoted field opened at this position.
+    Unterminated { line: usize, column: usize },
+}
 
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_quotes {
-            match b {
-                b'"' => {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                        field.push('"');
-                        i += 2;
-                        col += 2;
-                    } else {
-                        in_quotes = false;
+/// A complete record whose fields borrow the scanner's window and owned
+/// buffer.
+#[derive(Clone, Copy)]
+struct Record<'s> {
+    /// 1-based physical line of the record's first byte.
+    line: usize,
+    /// The record's raw bytes, validated, starting at window index `base`.
+    text: &'s str,
+    base: usize,
+    owned: &'s str,
+    spans: &'s [Span],
+}
+
+impl<'s> Record<'s> {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn fields(self) -> impl Iterator<Item = &'s str> {
+        self.spans.iter().map(move |span| match *span {
+            Span::Window(a, b) => &self.text[a - self.base..b - self.base],
+            Span::Owned(a, b) => &self.owned[a..b],
+        })
+    }
+}
+
+/// The byte scanner behind every reader (see the module docs).
+struct Scanner<R> {
+    reader: R,
+    separator: u8,
+    /// Bytes that end an unquoted run: the separator, `\r` and `\n`.
+    stops: [bool; 256],
+    /// Unread bytes are `window[head..tail]`; `window[head]` starts line
+    /// `line` at column 1.
+    window: Vec<u8>,
+    head: usize,
+    tail: usize,
+    line: usize,
+    eof: bool,
+    bom_checked: bool,
+    spans: Vec<Span>,
+    owned: Vec<u8>,
+}
+
+impl<R: Read> Scanner<R> {
+    fn new(reader: R, opts: CsvOptions, window: usize) -> Scanner<R> {
+        let mut stops = [false; 256];
+        for b in [opts.separator, b'\r', b'\n'] {
+            stops[b as usize] = true;
+        }
+        Scanner {
+            reader,
+            separator: opts.separator,
+            stops,
+            window: vec![0; window.max(1)],
+            head: 0,
+            tail: 0,
+            line: 1,
+            eof: false,
+            bom_checked: false,
+            spans: Vec::new(),
+            owned: Vec::new(),
+        }
+    }
+
+    /// The next record, or `None` at the end of the stream.
+    fn next_record(&mut self) -> Result<Option<Record<'_>>, TableError> {
+        if !self.bom_checked {
+            while self.tail - self.head < 3 && !self.eof {
+                self.refill()?;
+            }
+            if self.window[self.head..self.tail].starts_with(&[0xEF, 0xBB, 0xBF]) {
+                self.head += 3;
+            }
+            self.bom_checked = true;
+        }
+        let (end, next_line, row_line) = loop {
+            match self.scan() {
+                Scan::Record {
+                    end,
+                    line,
+                    row_line,
+                } => break (end, line, row_line),
+                Scan::Incomplete => self.refill()?,
+                Scan::Exhausted => return Ok(None),
+                Scan::Unterminated { line, column } => {
+                    // Invalid bytes inside the unterminated tail come
+                    // before the end of the stream, where the quote fails.
+                    if let Err(e) = std::str::from_utf8(&self.window[self.head..self.tail]) {
+                        return Err(self.invalid_utf8(self.head, self.line, e.valid_up_to()));
+                    }
+                    return Err(TableError::UnterminatedQuote { line, column });
+                }
+            }
+        };
+        let (start, start_line) = (self.head, self.line);
+        self.head = end;
+        self.line = next_line;
+        let this = &*self;
+        let text = std::str::from_utf8(&this.window[start..end])
+            .map_err(|e| this.invalid_utf8(start, start_line, e.valid_up_to()))?;
+        // Owned runs are cut from `text` at ASCII bytes, so they are valid.
+        let owned = std::str::from_utf8(&this.owned).expect("runs of a valid record are UTF-8");
+        Ok(Some(Record {
+            line: row_line,
+            text,
+            base: start,
+            owned,
+            spans: &this.spans,
+        }))
+    }
+
+    /// Scan one record from `head`, committing blank lines as it passes
+    /// them so the window never holds them again.
+    fn scan(&mut self) -> Scan {
+        let Scanner {
+            separator,
+            stops,
+            window,
+            head,
+            tail,
+            line: head_line,
+            eof,
+            spans,
+            owned,
+            ..
+        } = self;
+        spans.clear();
+        owned.clear();
+        let buf = &window[..*tail];
+        let end = buf.len();
+        let mut i = *head;
+        let mut line = *head_line;
+        let mut line_start = i;
+        let mut row_line = line;
+        let mut row_started = false;
+        let mut in_quotes = false;
+        let (mut quote_line, mut quote_col) = (line, 1);
+        let mut field = FieldRuns::default();
+        while i < end {
+            let b = buf[i];
+            if in_quotes {
+                match b {
+                    b'"' => {
+                        if i + 1 == end && !*eof {
+                            // `""` or a closing quote: the next byte decides.
+                            return Scan::Incomplete;
+                        }
+                        if buf.get(i + 1) == Some(&b'"') {
+                            field.start(i);
+                            field.close(i + 1, buf, owned);
+                            i += 2;
+                        } else {
+                            field.close(i, buf, owned);
+                            in_quotes = false;
+                            i += 1;
+                        }
+                    }
+                    b'\n' => {
+                        field.start(i);
+                        line += 1;
                         i += 1;
-                        col += 1;
+                        line_start = i;
+                    }
+                    _ => {
+                        field.start(i);
+                        i += 1;
+                        while i < end && buf[i] != b'"' && buf[i] != b'\n' {
+                            i += 1;
+                        }
                     }
                 }
+                continue;
+            }
+            match b {
+                b'"' if field.is_empty() => {
+                    in_quotes = true;
+                    (quote_line, quote_col) = (line, i - line_start + 1);
+                    if !row_started {
+                        (row_started, row_line) = (true, line);
+                    }
+                    i += 1;
+                }
+                b'\r' => {
+                    field.close(i, buf, owned);
+                    i += 1;
+                }
                 b'\n' => {
-                    field.push('\n');
+                    if row_started {
+                        spans.push(field.finish(i, buf, owned));
+                        return Scan::Record {
+                            end: i + 1,
+                            line: line + 1,
+                            row_line,
+                        };
+                    }
                     line += 1;
-                    col = 1;
+                    i += 1;
+                    line_start = i;
+                    (*head, *head_line) = (i, line);
+                }
+                _ if b == *separator => {
+                    spans.push(field.finish(i, buf, owned));
+                    if !row_started {
+                        (row_started, row_line) = (true, line);
+                    }
                     i += 1;
                 }
                 _ => {
-                    // Copy a full UTF-8 code point.
-                    let ch_len = utf8_len(b);
-                    field.push_str(&input[i..i + ch_len]);
-                    i += ch_len;
-                    col += ch_len;
+                    field.start(i);
+                    if !row_started {
+                        (row_started, row_line) = (true, line);
+                    }
+                    i += 1;
+                    while i < end && !stops[buf[i] as usize] {
+                        i += 1;
+                    }
                 }
-            }
-            continue;
-        }
-        match b {
-            b'"' if field.is_empty() => {
-                in_quotes = true;
-                quote_line = line;
-                quote_col = col;
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += 1;
-                col += 1;
-            }
-            b'\r' => {
-                i += 1; // handled by the following \n (or stripped bare)
-                col += 1;
-            }
-            b'\n' => {
-                line += 1;
-                col = 1;
-                i += 1;
-                if row_started || !field.is_empty() || !fields.is_empty() {
-                    fields.push(std::mem::take(&mut field));
-                    rows.push(CsvRow {
-                        line: row_line,
-                        fields: std::mem::take(&mut fields),
-                    });
-                    row_started = false;
-                }
-            }
-            _ if b == opts.separator => {
-                fields.push(std::mem::take(&mut field));
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += 1;
-                col += 1;
-            }
-            _ => {
-                let ch_len = utf8_len(b);
-                field.push_str(&input[i..i + ch_len]);
-                if !row_started {
-                    row_started = true;
-                    row_line = line;
-                }
-                i += ch_len;
-                col += ch_len;
             }
         }
-    }
-    if in_quotes {
-        // The unterminated tail is not a row; report it after the
-        // complete rows that precede it.
-        return (
-            rows,
-            Some(TableError::UnterminatedQuote {
+        if !*eof {
+            return Scan::Incomplete;
+        }
+        if in_quotes {
+            return Scan::Unterminated {
                 line: quote_line,
                 column: quote_col,
-            }),
-        );
-    }
-    if row_started || !field.is_empty() || !fields.is_empty() {
-        fields.push(field);
-        rows.push(CsvRow {
-            line: row_line,
-            fields,
-        });
-    }
-    (rows, None)
-}
-
-#[inline]
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-/// A chunk of complete CSV records cut from a byte stream.
-#[derive(Debug, Clone)]
-pub struct CsvChunk {
-    /// The chunk's raw text. Starts and ends on record boundaries, so it
-    /// parses independently of its neighbours.
-    pub text: String,
-    /// 1-based physical line number of the chunk's first byte within the
-    /// whole stream — pass it to [`parse_rows_at`].
-    pub first_line: usize,
-}
-
-/// Incremental, bounded-memory splitter of a CSV byte stream into chunks
-/// of complete records.
-///
-/// The chunker replicates the parser's quote state machine (quotes open
-/// only at field starts, `""` escapes, literal quotes mid-field, `\r`
-/// stripping, newlines inside quotes) byte for byte, so a chunk boundary
-/// is only ever placed on a *record* boundary — a quoted field containing
-/// newlines or separators can never be split, no matter how it straddles
-/// the internal read buffer. A UTF-8 BOM at stream start is stripped.
-///
-/// Memory use is bounded by the longest single record plus the underlying
-/// `BufRead` buffer, not by the stream length.
-pub struct RowChunker<R> {
-    reader: R,
-    opts: CsvOptions,
-    /// Bytes read but not yet emitted; `pos` is the scan frontier.
-    buf: Vec<u8>,
-    pos: usize,
-    eof: bool,
-    bom_checked: bool,
-    /// Line number of `buf[0]` (1-based, whole-stream).
-    start_line: usize,
-    /// Byte offset just past the last newline outside quotes (a safe
-    /// split point), and the line number there.
-    boundary: usize,
-    boundary_line: usize,
-    // Scanner state at `pos`, mirroring `parse_rows_at`.
-    line: usize,
-    col: usize,
-    in_quotes: bool,
-    field_empty: bool,
-    row_started: bool,
-    quote_line: usize,
-    quote_col: usize,
-    /// Complete records seen since the last emitted chunk.
-    records: usize,
-}
-
-impl<R: BufRead> RowChunker<R> {
-    /// Wrap a buffered reader.
-    pub fn new(reader: R, opts: CsvOptions) -> RowChunker<R> {
-        RowChunker {
-            reader,
-            opts,
-            buf: Vec::new(),
-            pos: 0,
-            eof: false,
-            bom_checked: false,
-            start_line: 1,
-            boundary: 0,
-            boundary_line: 1,
-            line: 1,
-            col: 1,
-            in_quotes: false,
-            field_empty: true,
-            row_started: false,
-            quote_line: 1,
-            quote_col: 1,
-            records: 0,
+            };
+        }
+        if !row_started {
+            return Scan::Exhausted;
+        }
+        spans.push(field.finish(end, buf, owned));
+        Scan::Record {
+            end,
+            line,
+            row_line,
         }
     }
 
-    /// The next chunk of up to `max_rows` complete records, or `None` once
-    /// the stream is exhausted. The final chunk may end in a record with no
-    /// trailing newline. Blank lines are carried along (the parser skips
-    /// them) but never counted as records.
-    pub fn next_chunk(&mut self, max_rows: usize) -> Result<Option<CsvChunk>, TableError> {
-        let max_rows = max_rows.max(1);
-        loop {
-            if !self.bom_checked {
-                if self.buf.len() < 3 && !self.eof {
-                    self.fill()?;
-                    continue;
+    /// Keep the unread bytes, moved to the window's front, and read until
+    /// the window is full or the stream ends. A window the partial record
+    /// already fills doubles first.
+    fn refill(&mut self) -> Result<(), TableError> {
+        self.window.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.tail == self.window.len() {
+            self.window.resize(self.window.len() * 2, 0);
+        }
+        while self.tail < self.window.len() {
+            match self.reader.read(&mut self.window[self.tail..]) {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
                 }
-                if self.buf.starts_with(&[0xEF, 0xBB, 0xBF]) {
-                    self.buf.drain(..3);
-                }
-                self.bom_checked = true;
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
-            while self.pos < self.buf.len() {
-                let b = self.buf[self.pos];
-                if self.in_quotes {
-                    match b {
-                        b'"' => {
-                            if self.pos + 1 >= self.buf.len() && !self.eof {
-                                // Can't yet tell an escaped `""` from a
-                                // closing quote: wait for the next byte.
-                                break;
-                            }
-                            if self.buf.get(self.pos + 1) == Some(&b'"') {
-                                self.field_empty = false;
-                                self.pos += 2;
-                                self.col += 2;
-                            } else {
-                                self.in_quotes = false;
-                                self.pos += 1;
-                                self.col += 1;
-                            }
-                        }
-                        b'\n' => {
-                            self.field_empty = false;
-                            self.line += 1;
-                            self.col = 1;
-                            self.pos += 1;
-                        }
-                        _ => {
-                            self.field_empty = false;
-                            self.pos += 1;
-                            self.col += 1;
-                        }
-                    }
-                    continue;
-                }
-                match b {
-                    b'"' if self.field_empty => {
-                        self.in_quotes = true;
-                        self.quote_line = self.line;
-                        self.quote_col = self.col;
-                        self.row_started = true;
-                        self.pos += 1;
-                        self.col += 1;
-                    }
-                    b'\r' => {
-                        self.pos += 1;
-                        self.col += 1;
-                    }
-                    b'\n' => {
-                        self.line += 1;
-                        self.col = 1;
-                        self.pos += 1;
-                        self.field_empty = true;
-                        self.boundary = self.pos;
-                        self.boundary_line = self.line;
-                        if self.row_started {
-                            self.records += 1;
-                            self.row_started = false;
-                            if self.records == max_rows {
-                                return Ok(Some(self.emit(self.pos)?));
-                            }
-                        }
-                    }
-                    _ => {
-                        self.field_empty = b == self.opts.separator;
-                        self.row_started = true;
-                        self.pos += 1;
-                        self.col += 1;
-                    }
-                }
-            }
-            if self.eof {
-                break;
-            }
-            self.fill()?;
         }
-        if self.in_quotes {
-            // Emit the complete records buffered ahead of the unterminated
-            // tail first — readers must see (and validate) every record
-            // that precedes the error in the stream, at any chunk size.
-            // The error itself surfaces on the next call.
-            if self.boundary > 0 {
-                let end = self.boundary;
-                return Ok(Some(self.emit(end)?));
-            }
-            return Err(TableError::UnterminatedQuote {
-                line: self.quote_line,
-                column: self.quote_col,
-            });
-        }
-        if self.buf.is_empty() {
-            return Ok(None);
-        }
-        let end = self.buf.len();
-        Ok(Some(self.emit(end)?))
-    }
-
-    fn fill(&mut self) -> Result<(), TableError> {
-        let data = self.reader.fill_buf()?;
-        if data.is_empty() {
-            self.eof = true;
-            return Ok(());
-        }
-        self.buf.extend_from_slice(data);
-        let n = data.len();
-        self.reader.consume(n);
         Ok(())
     }
 
-    fn emit(&mut self, end: usize) -> Result<CsvChunk, TableError> {
-        let bytes: Vec<u8> = self.buf.drain(..end).collect();
-        self.pos -= end;
-        let text = String::from_utf8(bytes).map_err(|e| {
-            TableError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("CSV stream is not valid UTF-8: {e}"),
-            ))
-        })?;
-        let first_line = self.start_line;
-        // A split exactly at the last record boundary (the deferred-error
-        // path) leaves the scan frontier beyond the emitted region, so the
-        // next chunk starts at the boundary's line, not the scanner's.
-        self.start_line = if end == self.boundary {
-            self.boundary_line
-        } else {
-            self.line
+    /// The error for the first invalid byte, `offset` bytes past window
+    /// index `start`, which begins line `start_line`.
+    fn invalid_utf8(&self, start: usize, start_line: usize, offset: usize) -> TableError {
+        let before = &self.window[start..start + offset];
+        let newlines = before.iter().filter(|&&b| b == b'\n').count();
+        let column = match before.iter().rposition(|&b| b == b'\n') {
+            Some(nl) => offset - nl,
+            None => offset + 1,
         };
-        self.boundary = self.boundary.saturating_sub(end);
-        self.records = 0;
-        Ok(CsvChunk { text, first_line })
+        TableError::InvalidUtf8 {
+            line: start_line + newlines,
+            column,
+        }
     }
+}
+
+/// Parse raw CSV text into rows of fields (header included). A leading
+/// UTF-8 BOM is stripped.
+pub fn parse_rows(input: &str, opts: CsvOptions) -> Result<Vec<Vec<String>>, TableError> {
+    let mut scanner = Scanner::new(input.as_bytes(), opts, WINDOW_BYTES);
+    let mut rows = Vec::new();
+    while let Some(record) = scanner.next_record()? {
+        rows.push(record.fields().map(str::to_owned).collect());
+    }
+    Ok(rows)
+}
+
+/// Build a table from the scanner's records: the first is the header,
+/// every later one must match its width. Interning is row-major, so
+/// symbols number in first-appearance order.
+fn read_records<R: Read>(
+    mut scanner: Scanner<R>,
+    pool: &mut ValuePool,
+) -> Result<Table, TableError> {
+    let Some(header) = scanner.next_record()? else {
+        return Err(TableError::EmptyInput);
+    };
+    let mut table = Table::new(Schema::new(header.fields()));
+    let arity = table.schema().arity();
+    let mut syms: Vec<Sym> = Vec::with_capacity(arity);
+    let mut row = 0usize;
+    while let Some(record) = scanner.next_record()? {
+        row += 1;
+        if record.len() != arity {
+            return Err(TableError::ArityMismatch {
+                line: record.line,
+                row,
+                expected: arity,
+                found: record.len(),
+            });
+        }
+        syms.clear();
+        syms.extend(record.fields().map(|field| pool.intern(field)));
+        table.push_row(&syms);
+    }
+    Ok(table)
 }
 
 /// Read a table from CSV text. The first row is the header. A leading
 /// UTF-8 BOM is stripped.
 pub fn read_str(input: &str, pool: &mut ValuePool, opts: CsvOptions) -> Result<Table, TableError> {
-    let input = input.strip_prefix('\u{feff}').unwrap_or(input);
-    let (rows, trailing) = parse_rows_trailing(input, opts, 1);
-    let mut rows = rows.into_iter();
-    let Some(header) = rows.next() else {
-        return Err(trailing.unwrap_or(TableError::EmptyInput));
-    };
-    let arity = header.fields.len();
-    let schema = Schema::new(header.fields);
-    let mut table = Table::with_capacity(schema, rows.len());
-    let mut syms: Vec<Sym> = Vec::new();
-    for (idx, row) in rows.enumerate() {
-        if row.fields.len() != arity {
-            return Err(TableError::ArityMismatch {
-                line: row.line,
-                row: idx + 1,
-                expected: arity,
-                found: row.fields.len(),
-            });
-        }
-        // Interning stays row-major (first-appearance order); the table
-        // transposes the row into its columns at this edge.
-        syms.clear();
-        syms.extend(row.fields.iter().map(|v| pool.intern(v)));
-        table.push_row(&syms);
-    }
-    match trailing {
-        Some(err) => Err(err),
-        None => Ok(table),
-    }
+    read(input.as_bytes(), pool, opts)
 }
 
-/// Read a table from any reader, streaming in bounded memory.
+/// Read a table from any reader, streaming through the scanner's window
+/// in bounded memory. The result is byte-identical to [`read_str`] on the
+/// same bytes.
 pub fn read<R: Read>(
     reader: R,
     pool: &mut ValuePool,
     opts: CsvOptions,
 ) -> Result<Table, TableError> {
-    read_buffered(BufReader::new(reader), pool, opts)
-}
-
-/// Read a table from a buffered reader, streaming chunk by chunk through a
-/// [`RowChunker`] ([`DEFAULT_CHUNK_ROWS`] records at a time) instead of
-/// materializing the whole input. Interning order — and therefore the
-/// resulting `(Table, ValuePool)` — is byte-identical to [`read_str`] on
-/// the same bytes.
-pub fn read_buffered<R: BufRead>(
-    reader: R,
-    pool: &mut ValuePool,
-    opts: CsvOptions,
-) -> Result<Table, TableError> {
-    read_buffered_with(reader, pool, opts, DEFAULT_CHUNK_ROWS)
-}
-
-/// [`read_buffered`] with an explicit chunk size (records per streamed
-/// chunk) — the serial path of `affidavit-store`'s ingestion pipeline.
-pub fn read_buffered_with<R: BufRead>(
-    reader: R,
-    pool: &mut ValuePool,
-    opts: CsvOptions,
-    chunk_rows: usize,
-) -> Result<Table, TableError> {
-    let mut chunker = RowChunker::new(reader, opts);
-    let (schema, arity) = loop {
-        let Some(chunk) = chunker.next_chunk(1)? else {
-            return Err(TableError::EmptyInput);
-        };
-        let mut rows = parse_rows_at(&chunk.text, opts, chunk.first_line)?;
-        if rows.is_empty() {
-            continue; // blank-line-only chunk before the header
-        }
-        let header = rows.remove(0);
-        debug_assert!(
-            rows.is_empty(),
-            "a 1-record chunk parses to at most one row"
-        );
-        break (Schema::new(header.fields.clone()), header.fields.len());
-    };
-    let mut table = Table::new(schema);
-    let mut syms: Vec<Sym> = Vec::new();
-    let mut row_idx = 0usize;
-    while let Some(chunk) = chunker.next_chunk(chunk_rows)? {
-        for row in parse_rows_at(&chunk.text, opts, chunk.first_line)? {
-            row_idx += 1;
-            if row.fields.len() != arity {
-                return Err(TableError::ArityMismatch {
-                    line: row.line,
-                    row: row_idx,
-                    expected: arity,
-                    found: row.fields.len(),
-                });
-            }
-            syms.clear();
-            syms.extend(row.fields.iter().map(|v| pool.intern(v)));
-            table.push_row(&syms);
-        }
-    }
-    Ok(table)
+    read_records(Scanner::new(reader, opts, WINDOW_BYTES), pool)
 }
 
 /// Read a table from a file path, streaming in bounded memory.
@@ -541,6 +470,18 @@ pub fn read_path(
     opts: CsvOptions,
 ) -> Result<Table, TableError> {
     read(std::fs::File::open(path)?, pool, opts)
+}
+
+/// [`read`] through a window of `window` bytes, so tests can put the
+/// window's edge anywhere.
+#[cfg(test)]
+fn read_windowed(
+    bytes: &[u8],
+    pool: &mut ValuePool,
+    opts: CsvOptions,
+    window: usize,
+) -> Result<Table, TableError> {
+    read_records(Scanner::new(bytes, opts, window), pool)
 }
 
 /// Write a table as CSV.
@@ -732,30 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn chunker_splits_on_record_boundaries_only() {
-        let text = "h\n\"a\nb\",x\n".replace(",x", ""); // header + one 2-line record
-        let mut chunker = RowChunker::new(text.as_bytes(), opts());
-        let c1 = chunker.next_chunk(1).unwrap().unwrap();
-        assert_eq!(c1.text, "h\n");
-        assert_eq!(c1.first_line, 1);
-        let c2 = chunker.next_chunk(1).unwrap().unwrap();
-        assert_eq!(c2.text, "\"a\nb\"\n");
-        assert_eq!(c2.first_line, 2);
-        assert!(chunker.next_chunk(1).unwrap().is_none());
-    }
-
-    #[test]
-    fn chunker_reports_unterminated_quote_position() {
-        let mut chunker = RowChunker::new("ok\nx,\"bad\n".as_bytes(), opts());
-        let _ = chunker.next_chunk(1).unwrap().unwrap();
-        let err = chunker.next_chunk(1).unwrap_err();
-        assert!(
-            matches!(err, TableError::UnterminatedQuote { line: 2, column: 3 }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn write_read_roundtrip() {
         let mut pool = ValuePool::new();
         let t = read_str(
@@ -792,5 +709,382 @@ mod tests {
         let t = read_str("städte\nmünchen\n東京\n", &mut pool, opts()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(pool.get(t.value(RecordId(1), AttrId(0))), "東京");
+    }
+
+    #[test]
+    fn fields_borrow_unless_they_need_reassembly() {
+        let text = "h1,h2,h3,h4\nplain,\"quoted\",\"q\"\"e\",a\rb\n\"x\"tail,,\"\",c\r\n";
+        let mut scanner = Scanner::new(text.as_bytes(), opts(), WINDOW_BYTES);
+        let _header = scanner.next_record().unwrap().unwrap();
+        let record = scanner.next_record().unwrap().unwrap();
+        let kinds: Vec<bool> = record
+            .spans
+            .iter()
+            .map(|s| matches!(s, Span::Owned(..)))
+            .collect();
+        assert_eq!(kinds, [false, false, true, true]);
+        let fields: Vec<&str> = record.fields().collect();
+        assert_eq!(fields, ["plain", "quoted", "q\"e", "ab"]);
+        let record = scanner.next_record().unwrap().unwrap();
+        let fields: Vec<&str> = record.fields().collect();
+        assert_eq!(fields, ["xtail", "", "", "c"]);
+        assert!(matches!(record.spans[0], Span::Owned(..)));
+        assert!(scanner.next_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn records_longer_than_the_window_grow_it() {
+        let long = "y".repeat(1000);
+        let text = format!("a,b\n\"{long}\n{long}\",z\nq,r\n");
+        for window in [1, 2, 3, 7, 64] {
+            let mut pool = ValuePool::new();
+            let t = read_windowed(text.as_bytes(), &mut pool, opts(), window).unwrap();
+            assert_eq!(t.len(), 2);
+            assert_eq!(
+                pool.get(t.value(RecordId(0), AttrId(0))),
+                format!("{long}\n{long}")
+            );
+            assert_eq!(pool.get(t.value(RecordId(1), AttrId(1))), "r");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_reports_its_stream_position() {
+        // 5,001 records, then a 0xff byte on line 5002, column 4.
+        let mut text = b"k,v\n".to_vec();
+        for i in 0..5000 {
+            text.extend_from_slice(format!("key{i},value{i}\n").as_bytes());
+        }
+        text.extend_from_slice(b"bad\xff,z\n");
+        for window in [1, 7, WINDOW_BYTES] {
+            let mut pool = ValuePool::new();
+            let err = read_windowed(&text, &mut pool, opts(), window).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TableError::InvalidUtf8 {
+                        line: 5002,
+                        column: 4
+                    }
+                ),
+                "window {window}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_earlier_arity_error_wins_over_invalid_utf8() {
+        let text = b"a,b\nx,y\nonly\nq,r\nbad\xff,z\n";
+        for window in [1, 2, 3, 7, 64, WINDOW_BYTES] {
+            let mut pool = ValuePool::new();
+            let err = read_windowed(text, &mut pool, opts(), window).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TableError::ArityMismatch {
+                        line: 3,
+                        row: 2,
+                        expected: 2,
+                        found: 1
+                    }
+                ),
+                "window {window}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_in_an_unterminated_tail_wins_over_the_quote() {
+        let mut pool = ValuePool::new();
+        let err = read(&b"a\n\"x\n\xe6y"[..], &mut pool, opts()).unwrap_err();
+        assert!(
+            matches!(err, TableError::InvalidUtf8 { line: 3, column: 1 }),
+            "{err:?}"
+        );
+    }
+
+    /// Schema, pool contents in interning order and every record's
+    /// symbols, or the error's variant and positions.
+    fn outcome(result: Result<Table, TableError>, pool: &ValuePool) -> Result<String, String> {
+        let table = result.map_err(|e| format!("{e:?}"))?;
+        let mut out = format!("{:?}\n", table.schema().names().collect::<Vec<_>>());
+        out.push_str(&format!(
+            "{:?}\n",
+            pool.iter().map(|(_, s)| s).collect::<Vec<_>>()
+        ));
+        for record in table.rows() {
+            out.push_str(&format!(
+                "{:?}\n",
+                record.iter().map(|s| s.0).collect::<Vec<_>>()
+            ));
+        }
+        Ok(out)
+    }
+
+    /// Bytes the scanner must treat specially, plus multi-byte and
+    /// invalid UTF-8.
+    const TOKENS: [&[u8]; 9] = [
+        b"a",
+        "é".as_bytes(),
+        "東".as_bytes(),
+        b",",
+        b";",
+        b"\"",
+        b"\r",
+        b"\n",
+        b"\xff",
+    ];
+
+    proptest::proptest! {
+        /// Each case checks a batch of inputs: one input rarely reaches a
+        /// given corner of the grammar, and the scanner is cheap to run.
+        #[test]
+        fn scanner_matches_the_oracle(
+            batch in proptest::collection::vec(
+                (proptest::collection::vec(0usize..TOKENS.len(), 0..48), 0u8..2, 0u8..4),
+                32,
+            ),
+        ) {
+            for (picks, semicolon, keep_invalid) in batch {
+                // Invalid bytes stay in a quarter of the inputs; elsewhere
+                // they would end almost every read before its grammar shows.
+                let bytes: Vec<u8> = picks
+                    .iter()
+                    .map(|&k| if k == TOKENS.len() - 1 && keep_invalid != 0 { 0 } else { k })
+                    .flat_map(|k| TOKENS[k].iter().copied())
+                    .collect();
+                let opts = CsvOptions { separator: if semicolon == 1 { b';' } else { b',' } };
+                let want = oracle::expected(&bytes, opts);
+                for window in [1, 2, 3, 7, 64, WINDOW_BYTES] {
+                    let mut pool = ValuePool::new();
+                    let got = outcome(read_windowed(&bytes, &mut pool, opts, window), &pool);
+                    proptest::prop_assert_eq!(
+                        &got, &want,
+                        "window {} on {:?}", window, String::from_utf8_lossy(&bytes)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The pre-scanner reader, kept verbatim as the scanner's reference:
+    /// `parse_rows_trailing` over a `&str` plus `read_str`'s interning
+    /// loop.
+    mod oracle {
+        use super::outcome;
+        use crate::csv::CsvOptions;
+        use crate::error::TableError;
+        use crate::schema::Schema;
+        use crate::table::Table;
+        use crate::value::{Sym, ValuePool};
+
+        /// What the scanner must produce for `bytes`. Invalid UTF-8
+        /// (the 0xff token) parses as a placeholder byte; the first
+        /// invalid byte then fails the read unless an arity error in an
+        /// earlier record comes first in the stream.
+        pub(super) fn expected(bytes: &[u8], opts: CsvOptions) -> Result<String, String> {
+            let first_bad = std::str::from_utf8(bytes).err().map(|e| e.valid_up_to());
+            let text: Vec<u8> = bytes
+                .iter()
+                .map(|&b| if b == 0xff { 1 } else { b })
+                .collect();
+            let text = String::from_utf8(text).expect("0xff is the only invalid token");
+            let mut pool = ValuePool::new();
+            let result = read_str(&text, &mut pool, opts);
+            let Some(bad) = first_bad else {
+                return outcome(result, &pool);
+            };
+            let (rows, _) = parse_rows_trailing(&text, opts, 1);
+            let bad_row = rows
+                .iter()
+                .position(|r| r.fields.iter().any(|f| f.contains('\u{1}')))
+                .unwrap_or(usize::MAX);
+            if let Err(TableError::ArityMismatch { row, .. }) = result {
+                if row < bad_row {
+                    return outcome(result, &pool);
+                }
+            }
+            let before = &bytes[..bad];
+            let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+            let column = bad
+                - before
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |nl| nl + 1)
+                + 1;
+            Err(format!("{:?}", TableError::InvalidUtf8 { line, column }))
+        }
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct CsvRow {
+            line: usize,
+            fields: Vec<String>,
+        }
+
+        fn read_str(
+            input: &str,
+            pool: &mut ValuePool,
+            opts: CsvOptions,
+        ) -> Result<Table, TableError> {
+            let input = input.strip_prefix('\u{feff}').unwrap_or(input);
+            let (rows, trailing) = parse_rows_trailing(input, opts, 1);
+            let mut rows = rows.into_iter();
+            let Some(header) = rows.next() else {
+                return Err(trailing.unwrap_or(TableError::EmptyInput));
+            };
+            let arity = header.fields.len();
+            let schema = Schema::new(header.fields);
+            let mut table = Table::with_capacity(schema, rows.len());
+            let mut syms: Vec<Sym> = Vec::new();
+            for (idx, row) in rows.enumerate() {
+                if row.fields.len() != arity {
+                    return Err(TableError::ArityMismatch {
+                        line: row.line,
+                        row: idx + 1,
+                        expected: arity,
+                        found: row.fields.len(),
+                    });
+                }
+                // Interning stays row-major (first-appearance order); the table
+                // transposes the row into its columns at this edge.
+                syms.clear();
+                syms.extend(row.fields.iter().map(|v| pool.intern(v)));
+                table.push_row(&syms);
+            }
+            match trailing {
+                Some(err) => Err(err),
+                None => Ok(table),
+            }
+        }
+
+        fn parse_rows_trailing(
+            input: &str,
+            opts: CsvOptions,
+            first_line: usize,
+        ) -> (Vec<CsvRow>, Option<TableError>) {
+            let bytes = input.as_bytes();
+            let mut rows: Vec<CsvRow> = Vec::new();
+            let mut fields: Vec<String> = Vec::new();
+            let mut field = String::new();
+            let mut i = 0usize;
+            let mut line = first_line;
+            let mut col = 1usize;
+            let mut in_quotes = false;
+            let mut quote_line = first_line;
+            let mut quote_col = 1usize;
+            let mut row_started = false;
+            let mut row_line = first_line;
+
+            while i < bytes.len() {
+                let b = bytes[i];
+                if in_quotes {
+                    match b {
+                        b'"' => {
+                            if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
+                                field.push('"');
+                                i += 2;
+                                col += 2;
+                            } else {
+                                in_quotes = false;
+                                i += 1;
+                                col += 1;
+                            }
+                        }
+                        b'\n' => {
+                            field.push('\n');
+                            line += 1;
+                            col = 1;
+                            i += 1;
+                        }
+                        _ => {
+                            // Copy a full UTF-8 code point.
+                            let ch_len = utf8_len(b);
+                            field.push_str(&input[i..i + ch_len]);
+                            i += ch_len;
+                            col += ch_len;
+                        }
+                    }
+                    continue;
+                }
+                match b {
+                    b'"' if field.is_empty() => {
+                        in_quotes = true;
+                        quote_line = line;
+                        quote_col = col;
+                        if !row_started {
+                            row_started = true;
+                            row_line = line;
+                        }
+                        i += 1;
+                        col += 1;
+                    }
+                    b'\r' => {
+                        i += 1; // handled by the following \n (or stripped bare)
+                        col += 1;
+                    }
+                    b'\n' => {
+                        line += 1;
+                        col = 1;
+                        i += 1;
+                        if row_started || !field.is_empty() || !fields.is_empty() {
+                            fields.push(std::mem::take(&mut field));
+                            rows.push(CsvRow {
+                                line: row_line,
+                                fields: std::mem::take(&mut fields),
+                            });
+                            row_started = false;
+                        }
+                    }
+                    _ if b == opts.separator => {
+                        fields.push(std::mem::take(&mut field));
+                        if !row_started {
+                            row_started = true;
+                            row_line = line;
+                        }
+                        i += 1;
+                        col += 1;
+                    }
+                    _ => {
+                        let ch_len = utf8_len(b);
+                        field.push_str(&input[i..i + ch_len]);
+                        if !row_started {
+                            row_started = true;
+                            row_line = line;
+                        }
+                        i += ch_len;
+                        col += ch_len;
+                    }
+                }
+            }
+            if in_quotes {
+                // The unterminated tail is not a row; report it after the
+                // complete rows that precede it.
+                return (
+                    rows,
+                    Some(TableError::UnterminatedQuote {
+                        line: quote_line,
+                        column: quote_col,
+                    }),
+                );
+            }
+            if row_started || !field.is_empty() || !fields.is_empty() {
+                fields.push(field);
+                rows.push(CsvRow {
+                    line: row_line,
+                    fields,
+                });
+            }
+            (rows, None)
+        }
+
+        #[inline]
+        fn utf8_len(first_byte: u8) -> usize {
+            match first_byte {
+                0x00..=0x7f => 1,
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            }
+        }
     }
 }

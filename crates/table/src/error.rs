@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// CSV errors carry full positional context — the 1-based physical *line*
 /// (counting embedded newlines inside quoted fields), the 1-based data
-/// *record* index (header excluded) where applicable, and for quote errors
-/// the 1-based byte *column* of the offending quote — so ingestion
+/// *record* index (header excluded) where applicable, and for quote and
+/// UTF-8 errors the 1-based byte *column* of the offending byte — so ingestion
 /// failures on multi-gigabyte snapshots are actionable without bisecting
 /// the file.
 #[derive(Debug)]
@@ -31,6 +31,13 @@ pub enum TableError {
         /// 1-based line where the quoted field started.
         line: usize,
         /// 1-based byte column of the opening quote on that line.
+        column: usize,
+    },
+    /// The input was not valid UTF-8.
+    InvalidUtf8 {
+        /// 1-based line of the first invalid byte.
+        line: usize,
+        /// 1-based byte column of the first invalid byte on that line.
         column: usize,
     },
     /// The input contained no header row.
@@ -60,6 +67,9 @@ impl fmt::Display for TableError {
                     f,
                     "unterminated quoted CSV field starting at line {line}, column {column}"
                 )
+            }
+            TableError::InvalidUtf8 { line, column } => {
+                write!(f, "CSV input is not valid UTF-8 at line {line}, column {column}")
             }
             TableError::EmptyInput => write!(f, "CSV input is empty (no header row)"),
             TableError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),

@@ -333,27 +333,6 @@ impl Table {
         id
     }
 
-    /// Append `added` rows column-wise: `fill` is called once per attribute
-    /// with the column buffer to extend. Every call must append exactly
-    /// `added` values (checked).
-    ///
-    /// This is the bulk-append edge for streaming ingestion: a chunk is
-    /// absorbed with one linear append per attribute instead of one
-    /// record allocation per row.
-    pub fn extend_columnwise(&mut self, added: usize, mut fill: impl FnMut(AttrId, &mut Vec<Sym>)) {
-        for (i, col) in self.columns.iter_mut().enumerate() {
-            let buf = col.make_mut();
-            let before = buf.len();
-            fill(AttrId(i as u32), buf);
-            assert_eq!(
-                buf.len(),
-                before + added,
-                "extend_columnwise fill must append exactly `added` values"
-            );
-        }
-        self.rows += added;
-    }
-
     /// The value of attribute `attr` in record `id`.
     #[inline]
     pub fn value(&self, id: RecordId, attr: AttrId) -> Sym {
@@ -493,18 +472,6 @@ mod tests {
         // The source table's shared column is untouched.
         assert_eq!(t.len(), 3);
         assert_eq!(t.column(AttrId(0)).len(), 3);
-    }
-
-    #[test]
-    fn extend_columnwise_appends_per_attribute() {
-        let (mut t, _) = sample();
-        t.extend_columnwise(2, |attr, buf| {
-            let base = 10 * (attr.index() as u32 + 1);
-            buf.extend([Sym(base), Sym(base + 1)]);
-        });
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.value(RecordId(3), AttrId(0)), Sym(10));
-        assert_eq!(t.value(RecordId(4), AttrId(1)), Sym(21));
     }
 
     #[test]

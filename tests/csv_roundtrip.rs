@@ -1,46 +1,40 @@
 //! Property-based CSV round-trip: anything we write we must read back
 //! verbatim, including separators, quotes, newlines and unicode — through
-//! *both* reading paths (in-memory `read_str` and the chunked streaming
-//! reader the ingestion pipeline uses), which must agree byte for byte.
+//! *both* reading entry points (in-memory `read_str` and the streaming
+//! ingestion reader), which must agree byte for byte.
 
 use affidavit::store::{ingest, IngestOptions};
 use affidavit::table::{csv, Record, Schema, Table, ValuePool};
 use proptest::prelude::*;
 
-/// Parse `text` through the serial in-memory path and through streaming
-/// ingestion (forcing the given chunk size); assert identical results.
-fn assert_paths_agree(text: &str, chunk_rows: usize) -> (Table, ValuePool) {
+/// Parse `text` through the in-memory reader and through streaming
+/// ingestion; assert identical results.
+fn assert_paths_agree(text: &str) -> (Table, ValuePool) {
     let mut mem_pool = ValuePool::new();
     let mem = csv::read_str(text, &mut mem_pool, csv::CsvOptions::default()).unwrap();
-    for threads in [1usize, 2] {
-        let opts = IngestOptions {
-            chunk_rows,
-            threads,
-            ..IngestOptions::default()
-        };
-        let mut stream_pool = ValuePool::new();
-        let stream = ingest::read_stream(text.as_bytes(), &mut stream_pool, &opts).unwrap();
-        assert_eq!(stream.len(), mem.len());
-        let mem_strings: Vec<&str> = mem_pool.iter().map(|(_, s)| s).collect();
-        let stream_strings: Vec<&str> = stream_pool.iter().map(|(_, s)| s).collect();
-        assert_eq!(mem_strings, stream_strings, "interning order must match");
-        for (id, rec) in mem.iter() {
-            assert_eq!(rec.to_vec().as_slice(), stream.record(id).values());
-        }
+    let mut stream_pool = ValuePool::new();
+    let stream =
+        ingest::read_stream(text.as_bytes(), &mut stream_pool, &IngestOptions::default()).unwrap();
+    assert_eq!(stream.len(), mem.len());
+    let mem_strings: Vec<&str> = mem_pool.iter().map(|(_, s)| s).collect();
+    let stream_strings: Vec<&str> = stream_pool.iter().map(|(_, s)| s).collect();
+    assert_eq!(mem_strings, stream_strings, "interning order must match");
+    for (id, rec) in mem.iter() {
+        assert_eq!(rec.to_vec().as_slice(), stream.record(id).values());
     }
     (mem, mem_pool)
 }
 
 #[test]
 fn crlf_line_endings_stream_identically() {
-    let (t, _) = assert_paths_agree("a,b\r\n1,2\r\n3,4\r\n", 1);
+    let (t, _) = assert_paths_agree("a,b\r\n1,2\r\n3,4\r\n");
     assert_eq!(t.len(), 2);
 }
 
 #[test]
 fn quoted_newlines_and_commas_stream_identically() {
     let text = "a,b\n\"line1\nline2\",\"x,y\"\n\"he said \"\"hi\"\"\",\"tail\r\nend\"\n";
-    let (t, pool) = assert_paths_agree(text, 1);
+    let (t, pool) = assert_paths_agree(text);
     assert_eq!(t.len(), 2);
     assert_eq!(
         pool.get(t.value(affidavit::table::RecordId(0), affidavit::table::AttrId(0))),
@@ -50,26 +44,28 @@ fn quoted_newlines_and_commas_stream_identically() {
 
 #[test]
 fn utf8_bom_is_stripped_on_both_paths() {
-    let (t, _) = assert_paths_agree("\u{feff}städte,n\n東京,1\n", 2);
+    let (t, _) = assert_paths_agree("\u{feff}städte,n\n東京,1\n");
     assert_eq!(t.schema().names().next(), Some("städte"));
     assert_eq!(t.len(), 1);
 }
 
 #[test]
-fn field_spanning_chunk_boundary_streams_identically() {
-    // A quoted field far larger than the chunker's read buffer, followed
-    // by more records — the chunk boundary must never cut the field, at
-    // any chunk size.
-    let long = format!("start\n{}\"\"quote,end", "x".repeat(40_000));
+fn field_longer_than_the_window_streams_identically() {
+    // A quoted field larger than the scanner's 64 KiB window, followed by
+    // more records: the window must grow to hold it and keep the records
+    // after it intact.
+    let long = format!("start\n{}\"\"quote,end", "x".repeat(100_000));
     let text = format!("a,b\n\"{long}\",small\nplain,tail\n");
-    for chunk_rows in [1usize, 2, 4096] {
-        let (t, pool) = assert_paths_agree(&text, chunk_rows);
-        assert_eq!(t.len(), 2);
-        let got = pool.get(t.value(affidavit::table::RecordId(0), affidavit::table::AttrId(0)));
-        assert_eq!(got.len(), long.len() - 1); // the "" escape collapses to "
-        assert!(got.starts_with("start\nxxx"));
-        assert!(got.ends_with("\"quote,end"));
-    }
+    let (t, pool) = assert_paths_agree(&text);
+    assert_eq!(t.len(), 2);
+    let got = pool.get(t.value(affidavit::table::RecordId(0), affidavit::table::AttrId(0)));
+    assert_eq!(got.len(), long.len() - 1); // the "" escape collapses to "
+    assert!(got.starts_with("start\nxxx"));
+    assert!(got.ends_with("\"quote,end"));
+    assert_eq!(
+        pool.get(t.value(affidavit::table::RecordId(1), affidavit::table::AttrId(1))),
+        "tail"
+    );
 }
 
 /// Arbitrary cell content, adversarial for CSV: quotes, commas, newlines.
@@ -110,8 +106,8 @@ proptest! {
             }
         }
         // And the streaming path agrees with the in-memory path on the
-        // same adversarial bytes, even at a 1-record chunk size.
-        assert_paths_agree(&text, 1);
+        // same adversarial bytes.
+        assert_paths_agree(&text);
     }
 
     /// Custom separators round-trip too.

@@ -55,6 +55,57 @@ fn csv_missing_file_is_io_error() {
     assert!(err.to_string().contains("I/O error"));
 }
 
+/// Write `bytes` to a fresh file and stream it through store ingestion.
+fn ingest_file(name: &str, bytes: &[u8]) -> Result<Table, TableError> {
+    use affidavit::store::{ingest, IngestOptions};
+    let path = std::env::temp_dir().join(format!("affidavit-{name}-{}.csv", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let mut pool = ValuePool::new();
+    let result = ingest::read_path(&path, &mut pool, &IngestOptions::default());
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+#[test]
+fn csv_invalid_utf8_reports_its_whole_stream_position() {
+    // 5,001 records, then 0xff on line 5002: the position counts from the
+    // start of the file, whatever the reader's window holds.
+    let mut bytes = b"k,v\n".to_vec();
+    for i in 0..5000 {
+        bytes.extend_from_slice(format!("key{i},value{i}\n").as_bytes());
+    }
+    bytes.extend_from_slice(b"bad\xff,z\n");
+    let err = ingest_file("invalid-utf8", &bytes).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TableError::InvalidUtf8 {
+                line: 5002,
+                column: 4
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("line 5002, column 4"), "{err}");
+}
+
+#[test]
+fn csv_arity_error_before_invalid_utf8_wins() {
+    let err = ingest_file("arity-before-utf8", b"a,b\nx,y\nonly\nq,r\nbad\xff,z\n").unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TableError::ArityMismatch {
+                line: 3,
+                row: 2,
+                expected: 2,
+                found: 1
+            }
+        ),
+        "{err:?}"
+    );
+}
+
 #[test]
 fn schema_mismatch_names_both_schemas() {
     let mut pool = ValuePool::new();

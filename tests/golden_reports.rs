@@ -74,10 +74,7 @@ fn explain_stable(src: &Path, tgt: &Path, init: &str, threads: usize) -> (String
     let opts = ProfileOptions {
         config: config.clone(),
         align: false,
-        ingest: IngestOptions {
-            threads,
-            ..IngestOptions::default()
-        },
+        ingest: IngestOptions::default(),
         pool: PoolConfig::default(),
     };
     let mut instance = stage_file_pair(src, tgt, &opts).unwrap();

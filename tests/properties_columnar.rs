@@ -190,9 +190,9 @@ fn explain_is_build_path_invariant() {
     }
 }
 
-/// Profile the same snapshot directories through the RAM backend at one
-/// ingestion thread and the disk-spilled backend (tiny budget, forced
-/// spills) at four — timing stripped, the outputs must be byte-identical.
+/// Profile the same snapshot directories through the RAM backend and the
+/// disk-spilled backend (tiny budget, forced spills) — timing stripped,
+/// the outputs must be byte-identical.
 #[test]
 fn profile_is_backend_invariant() {
     let root =
@@ -217,20 +217,20 @@ fn profile_is_backend_invariant() {
     )
     .unwrap();
 
-    let run = |backend: PoolBackend, threads: usize| {
-        let mut opts = ProfileOptions::default();
-        opts.ingest.chunk_rows = 8;
-        opts.ingest.threads = threads;
-        opts.pool = PoolConfig {
-            backend,
-            budget_bytes: 512,
+    let run = |backend: PoolBackend| {
+        let opts = ProfileOptions {
+            pool: PoolConfig {
+                backend,
+                budget_bytes: 512,
+            },
+            ..ProfileOptions::default()
         };
         let mut profile = profile_dirs(&before, &after, &opts).expect("profiling succeeds");
         profile.strip_timing();
         profile.render()
     };
-    let ram = run(PoolBackend::Ram, 1);
-    let disk = run(PoolBackend::Disk, 4);
+    let ram = run(PoolBackend::Ram);
+    let disk = run(PoolBackend::Disk);
     std::fs::remove_dir_all(&root).ok();
     assert_eq!(ram, disk, "profile must not depend on the pool backend");
     assert!(ram.contains("pair"), "profile covered the table pair");

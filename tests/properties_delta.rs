@@ -309,7 +309,7 @@ fn a_broken_manifest_falls_back_to_a_correct_redo() {
 
 /// A manifest recorded under one pool backend splices under the other:
 /// the config fingerprint deliberately excludes byte-transparent knobs
-/// (pool backend, ingest chunking), and only them.
+/// (the pool backend), and only them.
 #[test]
 fn the_manifest_is_portable_across_byte_transparent_knobs() {
     let dir = temp_dir("portable");
@@ -320,7 +320,6 @@ fn the_manifest_is_portable_across_byte_transparent_knobs() {
         backend: PoolBackend::Disk,
         budget_bytes: 4096,
     };
-    disk.ingest.chunk_rows = 3;
     assert_eq!(
         config_fingerprint(&ram.config, ram.align),
         config_fingerprint(&disk.config, disk.align)

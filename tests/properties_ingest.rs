@@ -1,18 +1,14 @@
 //! Ingestion determinism battery.
 //!
-//! 1. Streaming parallel ingestion (`affidavit_store::ingest`) must
-//!    produce a `(Table, ValuePool)` **byte-identical** to the serial
-//!    in-memory parser (`csv::read_str`) for adversarial inputs across
-//!    seeds × thread counts {1, 2, 4} × chunk sizes {1, 64, 4096}.
+//! 1. Streaming ingestion (`affidavit_store::ingest`) must produce a
+//!    `(Table, ValuePool)` **byte-identical** to the in-memory reader
+//!    (`csv::read_str`) for adversarial inputs across seeds, including
+//!    from readers that hand over a few bytes at a time.
 //! 2. A full `explain` over the Figure 1 instance and a Table 2 dataset
 //!    spec must render an **identical report** under `--pool-backend
 //!    disk` (tiny budget, forced spills) and `--pool-backend ram`.
 //! 3. A `SegmentPool` under a deliberately tiny budget must actually
 //!    spill and still round-trip every string.
-//!
-//! The CI matrix leg pins one (threads, chunk size) combination via
-//! `AFFIDAVIT_INGEST_THREADS` / `AFFIDAVIT_INGEST_CHUNK_ROWS`; without
-//! them the whole matrix runs.
 
 use affidavit::core::config::AffidavitConfig;
 use affidavit::core::instance::ProblemInstance;
@@ -21,26 +17,6 @@ use affidavit::core::search::Affidavit;
 use affidavit::datasets::running_example::{ATTRS, SOURCE_ROWS, TARGET_ROWS};
 use affidavit::store::{ingest, IngestOptions, PoolBackend, PoolConfig};
 use affidavit::table::{csv, Table, ValuePool};
-
-/// The `(threads, chunk_rows)` combinations under test: the env override
-/// (CI matrix leg) wins, otherwise the full grid.
-fn matrix() -> Vec<(usize, usize)> {
-    let env_usize =
-        |name: &str| -> Option<usize> { std::env::var(name).ok().and_then(|v| v.parse().ok()) };
-    if let (Some(threads), Some(chunk_rows)) = (
-        env_usize("AFFIDAVIT_INGEST_THREADS"),
-        env_usize("AFFIDAVIT_INGEST_CHUNK_ROWS"),
-    ) {
-        return vec![(threads, chunk_rows)];
-    }
-    let mut combos = Vec::new();
-    for threads in [1usize, 2, 4] {
-        for chunk_rows in [1usize, 64, 4096] {
-            combos.push((threads, chunk_rows));
-        }
-    }
-    combos
-}
 
 /// Everything that makes the pair: schema, pool contents in interning
 /// order, and every record's symbol tuple.
@@ -66,8 +42,7 @@ fn fingerprint(table: &Table, pool: &ValuePool) -> String {
 
 /// Adversarial CSV: quoted fields with embedded separators, quotes and
 /// newlines, CRLF endings, empty fields, blank lines, unicode, values
-/// recurring across distant chunks (so several workers "discover" the
-/// same string), and a field far longer than the chunker's read buffer.
+/// recurring far apart, and a field far longer than one read.
 fn adversarial_csv(seed: u64) -> String {
     let mut text = String::from("id,amount,unit,\"no,te\"\n");
     let mut state = seed | 1;
@@ -106,25 +81,40 @@ fn adversarial_csv(seed: u64) -> String {
     text
 }
 
+/// A reader that hands over at most `step` bytes per call, so record and
+/// field boundaries fall at every offset of a refill.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.step.min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 #[test]
-fn streaming_parallel_ingestion_is_byte_identical_to_serial() {
+fn streaming_ingestion_is_byte_identical_to_the_in_memory_reader() {
     for seed in [1u64, 2, 3] {
         let text = adversarial_csv(seed);
-        let mut serial_pool = ValuePool::new();
-        let serial = csv::read_str(&text, &mut serial_pool, csv::CsvOptions::default()).unwrap();
-        let want = fingerprint(&serial, &serial_pool);
-        for (threads, chunk_rows) in matrix() {
-            let opts = IngestOptions {
-                chunk_rows,
-                threads,
-                ..IngestOptions::default()
+        let mut mem_pool = ValuePool::new();
+        let mem = csv::read_str(&text, &mut mem_pool, csv::CsvOptions::default()).unwrap();
+        let want = fingerprint(&mem, &mem_pool);
+        for step in [1usize, 7, 4096, usize::MAX] {
+            let reader = Trickle {
+                bytes: text.as_bytes(),
+                step,
             };
             let mut pool = ValuePool::new();
-            let table = ingest::read_stream(text.as_bytes(), &mut pool, &opts).unwrap();
+            let table = ingest::read_stream(reader, &mut pool, &IngestOptions::default()).unwrap();
             assert_eq!(
                 fingerprint(&table, &pool),
                 want,
-                "seed {seed}: threads={threads} chunk_rows={chunk_rows} diverged from serial"
+                "seed {seed}: {step}-byte reads diverged from the in-memory reader"
             );
         }
     }
@@ -132,8 +122,8 @@ fn streaming_parallel_ingestion_is_byte_identical_to_serial() {
 
 #[test]
 fn serial_streaming_reader_matches_in_memory_parser() {
-    // The satellite fix: `csv::read` (used by `read_path`) streams through
-    // the chunker instead of slurping, and must stay byte-identical.
+    // `csv::read` (behind `read_path`) streams through the scanner's
+    // window instead of slurping, and must stay byte-identical.
     for seed in [4u64, 5] {
         let text = adversarial_csv(seed);
         let mut mem_pool = ValuePool::new();
@@ -162,14 +152,9 @@ fn rows_to_csv(header: &[&str], rows: &[&[&str]]) -> String {
     text
 }
 
-/// Ingest `text` with the given backend and options, explain the pair,
-/// and return the rendered report plus search counters.
-fn explain_through_backend(
-    source_csv: &str,
-    target_csv: &str,
-    backend: PoolBackend,
-    threads: usize,
-) -> String {
+/// Ingest the pair with the given backend, explain it, and return the
+/// rendered report plus search counters.
+fn explain_through_backend(source_csv: &str, target_csv: &str, backend: PoolBackend) -> String {
     let pool_cfg = PoolConfig {
         backend,
         // Deliberately tiny: the Figure 1 pool alone exceeds this, so the
@@ -177,11 +162,7 @@ fn explain_through_backend(
         budget_bytes: 512,
     };
     let mut pool = pool_cfg.build().unwrap();
-    let opts = IngestOptions {
-        chunk_rows: 4,
-        threads,
-        ..IngestOptions::default()
-    };
+    let opts = IngestOptions::default();
     let source = ingest::read_stream(source_csv.as_bytes(), &mut pool, &opts).unwrap();
     let target = ingest::read_stream(target_csv.as_bytes(), &mut pool, &opts).unwrap();
     if backend == PoolBackend::Disk {
@@ -206,8 +187,8 @@ fn disk_and_ram_backends_render_identical_figure1_reports() {
     let target_rows: Vec<&[&str]> = TARGET_ROWS.iter().map(|r| &r[..]).collect();
     let s = rows_to_csv(&ATTRS, &source_rows);
     let t = rows_to_csv(&ATTRS, &target_rows);
-    let ram = explain_through_backend(&s, &t, PoolBackend::Ram, 1);
-    let disk = explain_through_backend(&s, &t, PoolBackend::Disk, 2);
+    let ram = explain_through_backend(&s, &t, PoolBackend::Ram);
+    let disk = explain_through_backend(&s, &t, PoolBackend::Disk);
     assert_eq!(ram, disk, "disk backend must not change the explanation");
 }
 
@@ -239,8 +220,8 @@ fn disk_and_ram_backends_render_identical_table2_reports() {
     .unwrap();
     let s = String::from_utf8(s).unwrap();
     let t = String::from_utf8(t).unwrap();
-    let ram = explain_through_backend(&s, &t, PoolBackend::Ram, 1);
-    let disk = explain_through_backend(&s, &t, PoolBackend::Disk, 4);
+    let ram = explain_through_backend(&s, &t, PoolBackend::Ram);
+    let disk = explain_through_backend(&s, &t, PoolBackend::Disk);
     assert_eq!(ram, disk, "disk backend must not change the explanation");
 }
 

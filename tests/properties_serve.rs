@@ -58,11 +58,7 @@ fn one_shot(spec: &ExplainSpec) -> (String, u64, u64) {
     let opts = ProfileOptions {
         config: spec.config.clone(),
         align: spec.align,
-        ingest: IngestOptions {
-            chunk_rows: spec.ingest_chunk_rows,
-            threads: spec.config.threads,
-            ..IngestOptions::default()
-        },
+        ingest: IngestOptions::default(),
         pool: PoolConfig {
             backend: spec.pool_backend.parse().unwrap(),
             budget_bytes: spec.pool_budget_bytes,
@@ -146,6 +142,46 @@ fn pin_prewarms_a_session_without_searching() {
     assert_eq!(client.stats().unwrap().ingests, 1);
 
     client.shutdown().unwrap();
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client built before `--ingest-chunk-rows` was retired still sends
+/// `ingest_chunk_rows` in its spec; the daemon ignores the field and
+/// answers with the normal report.
+#[test]
+fn a_retired_ingest_chunk_rows_field_is_ignored() {
+    use affidavit_dist::frame::{read_frame, write_frame, FrameConfig, FrameRead};
+    use affidavit_serve::{ClientRequest, ClientResponse};
+
+    let dir = std::env::temp_dir().join("affidavit-serve-retired-field");
+    std::fs::remove_dir_all(&dir).ok();
+    let (src, tgt) = write_pair(&dir);
+    let spec = spec_for(&src, &tgt, "id", 1, "ram");
+    let (report, polled, generated) = one_shot(&spec);
+    let mut daemon = serve(&ServeOptions::default()).unwrap();
+
+    let request = serde_json::to_string(&ClientRequest::Explain { spec }).unwrap();
+    let old_request = request.replacen("\"spec\":{", "\"spec\":{\"ingest_chunk_rows\":16,", 1);
+    assert_ne!(old_request, request, "the spec object must be found");
+    let cfg = FrameConfig::default();
+    let mut stream = std::net::TcpStream::connect(daemon.local_addr()).unwrap();
+    write_frame(&mut stream, &old_request, &cfg).unwrap();
+    let FrameRead::Frame(text) = read_frame(&mut stream, &cfg).unwrap() else {
+        panic!("the daemon must answer the request");
+    };
+    match serde_json::from_str::<ClientResponse>(&text).unwrap() {
+        ClientResponse::Report { reply } => {
+            assert_eq!(reply.report, report);
+            assert_eq!((reply.polled, reply.generated), (polled, generated));
+        }
+        other => panic!("expected a report, got {other:?}"),
+    }
+    drop(stream);
+
+    ServeClient::new(daemon.local_addr().to_string())
+        .shutdown()
+        .unwrap();
     daemon.wait();
     std::fs::remove_dir_all(&dir).ok();
 }
